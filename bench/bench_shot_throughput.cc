@@ -21,15 +21,13 @@
  *    number, recorded in BENCH_pr4.json); on the 14-active-qubit
  *    routing the 2^14-amplitude sweeps dominate both paths and the
  *    gap narrows — that regime is what the SIMD kernels attack;
- *  - grouped (shot-batched SoA) vs per-shot compiled replay: the
- *    headline rows time all three dense strategies and record the
- *    signature-grouping occupancy (mean group size, no-error-group
- *    fraction) that explains each speedup; registered *PerShot
- *    variants pin ADAPT_DENSE_SHOT_BATCH=0 for the same comparison
- *    under google-benchmark rigor;
- *  - the batch frame engine's plane width and tiling: 50q/100q
- *    characterization sweeps at ADAPT_FRAME_LANES=64/256/512 with
- *    the L1-tiled executor forced off and on;
+ *  - the grouped (shot-batched) compiled replay's occupancy: the
+ *    headline rows record the signature-grouping counters (mean
+ *    group size, no-error-group fraction) next to the compiled
+ *    speed, so a recorded number can be read against how much
+ *    grouping was available (OU-phase and >12-qubit jobs run
+ *    per-shot and record zero grouped shots);
+ *  - the batch frame engine on a 50q/100q T1 characterization;
  *  - one-time job preparation (plan lowering + compilation), to show
  *    amortization across shots;
  *  - the apply1Q / applyPhase / populationOne kernels, which switch
@@ -45,7 +43,6 @@
 #include "bench_common.hh"
 
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -137,8 +134,8 @@ decoyPaddedSchedule()
 
 /** Pauli-only decoy machine (gate/measure/T1/white-dephasing noise,
  *  OU drift off).  With no per-shot OU phases the whole event-free
- *  prefix is shot-invariant, which is where the grouped engine's
- *  reference-state reuse pays off fully — the >= 2x acceptance row.
+ *  prefix is shot-invariant, so the job takes the grouped replay and
+ *  its reference-state reuse.
  *  (QAOA decoys are non-Clifford, so this config still runs the
  *  dense backend in production.) */
 const NoisyMachine &
@@ -173,19 +170,6 @@ runThroughput(benchmark::State &state, const NoisyMachine &m,
         static_cast<double>(state.iterations()) * shots,
         benchmark::Counter::kIsRate);
     state.counters["simd"] = simdFlag();
-}
-
-/** Same sweep with the grouped SoA replay disabled, so the
- *  registered pairs expose the grouping win directly. */
-void
-runThroughputPerShot(benchmark::State &state, const NoisyMachine &m,
-                     const ScheduledCircuit &sched, int threads,
-                     int shots)
-{
-    setenv("ADAPT_DENSE_SHOT_BATCH", "0", 1);
-    runThroughput(state, m, sched, ExecMode::Compiled, threads,
-                  shots);
-    unsetenv("ADAPT_DENSE_SHOT_BATCH");
 }
 
 void
@@ -254,21 +238,6 @@ BM_DecoyShotThroughputDDInterpreted(benchmark::State &state)
     runThroughput(state, decoyMachine(), decoyPaddedSchedule(),
                   ExecMode::Interpreted,
                   static_cast<int>(state.range(0)), kShots);
-}
-
-void
-BM_DecoyShotThroughputPerShot(benchmark::State &state)
-{
-    runThroughputPerShot(state, decoyMachine(), decoySchedule(),
-                         static_cast<int>(state.range(0)), kShots);
-}
-
-void
-BM_DecoyShotThroughputDDPerShot(benchmark::State &state)
-{
-    runThroughputPerShot(state, decoyMachine(),
-                         decoyPaddedSchedule(),
-                         static_cast<int>(state.range(0)), kShots);
 }
 
 /** One-time job preparation (plan lowering + shot-program
@@ -367,10 +336,6 @@ registerBenchmarks()
                        BM_DecoyShotThroughputDD, true);
     registerThroughput("BM_DecoyShotThroughputDDInterpreted",
                        BM_DecoyShotThroughputDDInterpreted, false);
-    registerThroughput("BM_DecoyShotThroughputPerShot",
-                       BM_DecoyShotThroughputPerShot, false);
-    registerThroughput("BM_DecoyShotThroughputDDPerShot",
-                       BM_DecoyShotThroughputDDPerShot, false);
     benchmark::RegisterBenchmark("BM_PrepareCompile",
                                  BM_PrepareCompile)
         ->Unit(benchmark::kMicrosecond);
@@ -387,58 +352,48 @@ registerBenchmarks()
     }
 }
 
-/** Record one headline interpreted / per-shot-compiled / grouped
- *  triple directly (the registered benchmarks re-measure the same
- *  points with more rigor; these rows make the BENCH_*.json record
- *  self-contained).  The grouped row also carries the occupancy of
- *  the signature grouping — mean group size and the fraction of
- *  shots whose draw pass fired nothing — so a recorded speedup can
- *  be read against how much grouping was actually available. */
+/** Record one headline interpreted / compiled pair directly (the
+ *  registered benchmarks re-measure the same points with more rigor;
+ *  these rows make the BENCH_*.json record self-contained).  The
+ *  compiled row also carries the occupancy of the signature grouping
+ *  — mean group size and the fraction of shots whose draw pass fired
+ *  nothing — so a recorded speedup can be read against how much
+ *  grouping was actually available. */
 void
 recordHeadline(const char *name, const NoisyMachine &m,
                const ScheduledCircuit &sched, int shots)
 {
     const PreparedCircuit prepared =
         m.prepare(sched, BackendKind::Dense);
-    const auto seconds = [&](ExecMode mode) {
-        const auto t0 = std::chrono::steady_clock::now();
-        benchmark::DoNotOptimize(m.run(prepared, shots, 7, 1, mode));
-        const auto t1 = std::chrono::steady_clock::now();
-        return std::chrono::duration<double>(t1 - t0).count() /
-               shots;
-    };
-    const double interpreted = seconds(ExecMode::Interpreted);
-    setenv("ADAPT_DENSE_SHOT_BATCH", "0", 1);
-    const double pershot = seconds(ExecMode::Compiled);
-    unsetenv("ADAPT_DENSE_SHOT_BATCH");
-
-    DenseBatchStats stats;
     const auto t0 = std::chrono::steady_clock::now();
+    benchmark::DoNotOptimize(
+        m.run(prepared, shots, 7, 1, ExecMode::Interpreted));
+    const auto t1 = std::chrono::steady_clock::now();
+    DenseBatchStats stats;
     {
         const RunOutcome out = m.runPartial(prepared, shots, 7, 1,
                                             RunControl{});
         benchmark::DoNotOptimize(&out.dist);
         stats = out.denseStats;
     }
-    const auto t1 = std::chrono::steady_clock::now();
-    const double grouped =
+    const auto t2 = std::chrono::steady_clock::now();
+    const double interpreted =
         std::chrono::duration<double>(t1 - t0).count() / shots;
+    const double compiled =
+        std::chrono::duration<double>(t2 - t1).count() / shots;
 
     benchio::Case &row =
         benchio::record(name)
             .metric("shots", shots)
             .metric("interpreted_ns_per_shot", interpreted * 1e9)
-            .metric("pershot_compiled_ns_per_shot", pershot * 1e9)
-            .metric("grouped_compiled_ns_per_shot", grouped * 1e9)
+            .metric("compiled_ns_per_shot", compiled * 1e9)
             .metric("interpreted_shots_per_sec", 1.0 / interpreted)
-            .metric("pershot_compiled_shots_per_sec", 1.0 / pershot)
-            .metric("grouped_compiled_shots_per_sec", 1.0 / grouped)
+            .metric("compiled_shots_per_sec", 1.0 / compiled)
             .metric("speedup_compiled_vs_interpreted",
-                    interpreted / pershot)
-            .metric("speedup_grouped_vs_pershot", pershot / grouped);
+                    interpreted / compiled);
     // Occupancy: zero grouped shots means the job was ineligible
-    // (register wider than kMaxBatchQubits) and fell back to the
-    // per-shot replay — mean_group_size then records null.
+    // (OU phases, or a register wider than kMaxBatchQubits) and ran
+    // the per-shot replay — mean_group_size then records null.
     row.metric("grouped_shots", static_cast<double>(stats.shots))
         .metric("mean_group_size",
                 static_cast<double>(stats.shots) /
@@ -453,10 +408,11 @@ recordHeadline(const char *name, const NoisyMachine &m,
                     ? static_cast<double>(stats.batchedShots) /
                           static_cast<double>(stats.shots)
                     : 0.0);
-    std::printf("%-28s %9.0f ns/shot interpreted, %8.0f per-shot, "
-                "%8.0f grouped (%.2fx vs per-shot)\n",
-                name, interpreted * 1e9, pershot * 1e9, grouped * 1e9,
-                pershot / grouped);
+    std::printf("%-28s %9.0f ns/shot interpreted, %8.0f compiled "
+                "(%.2fx), %5.1f%% grouped\n",
+                name, interpreted * 1e9, compiled * 1e9,
+                interpreted / compiled,
+                100.0 * static_cast<double>(stats.shots) / shots);
 }
 
 /** Whole-device T1/idle characterization at width @p n — the frame
@@ -475,67 +431,32 @@ buildT1Characterization(const Device &device, int n)
                     ScheduleMode::Asap);
 }
 
-/**
- * Frame-plane characterization sweep: seconds per shot of the batch
- * frame engine at 50 and 100 qubits, for each supported lane width
- * (ADAPT_FRAME_LANES=64/256/512, bound at prepare time) and with the
- * qubit-tiled executor forced off and on (ADAPT_FRAME_TILE) — the
- * recorded grid behind the lane-width default and the tiling engage
- * heuristic.
- */
+/** Seconds per shot of the batch frame engine on the whole-device
+ *  T1 characterization at 50 and 100 qubits. */
 void
-recordFrameSweep()
+recordFrameCharacterization()
 {
-    // 32q rides along to document the tiling engage boundary: there
-    // the auto heuristic keeps the flat walk (planes already
-    // L1-resident), and the forced-on row records what it avoids.
-    for (const int n : {32, 50, 100}) {
+    for (const int n : {50, 100}) {
         const Device device =
             Device::synthetic(Topology::linear(n), 200 + n);
         const NoisyMachine machine(device, 0,
                                    NoiseFlags::pauliOnly());
-        const ScheduledCircuit sched =
-            buildT1Characterization(device, n);
+        const PreparedCircuit prepared = machine.prepare(
+            buildT1Characterization(device, n),
+            BackendKind::Stabilizer);
         const int shots = n <= 50 ? 1 << 13 : 1 << 12;
-        for (const int lanes : {64, 256, 512}) {
-            setenv("ADAPT_FRAME_LANES",
-                   std::to_string(lanes).c_str(), 1);
-            const PreparedCircuit prepared =
-                machine.prepare(sched, BackendKind::Stabilizer);
-            const auto seconds = [&](const char *tile) {
-                if (tile != nullptr)
-                    setenv("ADAPT_FRAME_TILE", tile, 1);
-                const auto t0 = std::chrono::steady_clock::now();
-                benchmark::DoNotOptimize(
-                    machine.run(prepared, shots, 7, 1));
-                const auto t1 = std::chrono::steady_clock::now();
-                unsetenv("ADAPT_FRAME_TILE");
-                return std::chrono::duration<double>(t1 - t0)
-                           .count() /
-                       shots;
-            };
-            const double flat = seconds("0");
-            const double tiled = seconds("1");
-            // The auto row is what a default run gets — it must
-            // track min(flat, tiled) on both sides of the engage
-            // boundary (flat at 32q, tiled at 100q).
-            const double autoTile = seconds(nullptr);
-            benchio::record("frame_t1_characterization_" +
-                            std::to_string(n) + "q")
-                .label("lanes", std::to_string(lanes))
-                .metric("shots", shots)
-                .metric("flat_ns_per_shot", flat * 1e9)
-                .metric("tiled_ns_per_shot", tiled * 1e9)
-                .metric("auto_ns_per_shot", autoTile * 1e9)
-                .metric("flat_shots_per_sec", 1.0 / flat)
-                .metric("tiled_shots_per_sec", 1.0 / tiled)
-                .metric("tiled_speedup_vs_flat", flat / tiled);
-            std::printf("frame %3dq lanes=%3d: %7.0f ns/shot flat, "
-                        "%7.0f tiled (%.2fx), %7.0f auto\n",
-                        n, lanes, flat * 1e9, tiled * 1e9,
-                        flat / tiled, autoTile * 1e9);
-            unsetenv("ADAPT_FRAME_LANES");
-        }
+        const auto t0 = std::chrono::steady_clock::now();
+        benchmark::DoNotOptimize(machine.run(prepared, shots, 7, 1));
+        const auto t1 = std::chrono::steady_clock::now();
+        const double sec =
+            std::chrono::duration<double>(t1 - t0).count() / shots;
+        benchio::record("frame_t1_characterization_" +
+                        std::to_string(n) + "q")
+            .metric("shots", shots)
+            .metric("ns_per_shot", sec * 1e9)
+            .metric("shots_per_sec", 1.0 / sec);
+        std::printf("frame %3dq: %7.0f ns/shot (%d lanes per pass)\n",
+                    n, sec * 1e9, kFrameLanes);
     }
 }
 
@@ -543,11 +464,10 @@ void
 runExperiment()
 {
     benchio::open("shot_throughput",
-                  "dense shot replay — interpreted vs per-shot "
-                  "compiled vs grouped SoA (ns per shot and "
-                  "shots/sec, 1 thread) at decoy and device scale, "
-                  "plus frame-plane lane-width/tiling sweeps at "
-                  "32, 50, and 100 qubits");
+                  "dense shot replay — interpreted vs compiled "
+                  "(ns per shot and shots/sec, 1 thread, with "
+                  "grouping occupancy) at decoy and device scale, "
+                  "plus the frame engine at 50 and 100 qubits");
     banner("Shot throughput",
            "parallel Monte-Carlo engine, QAOA-10 on ibmq_toronto");
     std::printf("shots per run: %d, hardware threads: %u, "
@@ -563,18 +483,17 @@ runExperiment()
     recordHeadline("qaoa5_rome_decoy_scale_dd", decoyMachine(),
                    decoyPaddedSchedule(), kShots);
     // Same circuits with OU drift off (NoiseFlags::pauliOnly): the
-    // shot-invariant-prefix configuration the grouped engine's
-    // acceptance number is quoted on.
+    // only configuration of the two that takes the grouped replay.
     recordHeadline("qaoa5_rome_decoy_scale_pauli",
                    decoyPauliMachine(), decoySchedule(), kShots);
     recordHeadline("qaoa5_rome_decoy_scale_dd_pauli",
                    decoyPauliMachine(), decoyPaddedSchedule(),
                    kShots);
-    // Above the kMaxBatchQubits cap: records the per-shot fallback
-    // (grouped metrics degenerate) next to the small-register wins.
+    // Above the kMaxBatchQubits cap: records the per-shot replay
+    // (grouped metrics degenerate) next to the small-register rows.
     recordHeadline("qaoa10_toronto", machine(), program().schedule,
                    kPaddedShots);
-    recordFrameSweep();
+    recordFrameCharacterization();
     registerBenchmarks();
 }
 

@@ -21,6 +21,21 @@ namespace
  *  caller); nested run() calls then execute inline. */
 thread_local bool tl_executing = false;
 
+/** Marks the calling thread as executing for its lifetime (restoring
+ *  the previous state on exit, exceptions included), so every nested
+ *  run() inside it stays inline on this thread. */
+class SerialScope
+{
+  public:
+    SerialScope() : outer_(tl_executing) { tl_executing = true; }
+    ~SerialScope() { tl_executing = outer_; }
+    SerialScope(const SerialScope &) = delete;
+    SerialScope &operator=(const SerialScope &) = delete;
+
+  private:
+    bool outer_;
+};
+
 } // namespace
 
 int
@@ -186,8 +201,19 @@ parallelFor(int64_t begin, int64_t end, int max_chunks,
     const int64_t n = end - begin;
     if (n <= 0)
         return;
-    const int chunks = static_cast<int>(
-        std::min<int64_t>(resolveThreads(max_chunks), n));
+    const int threads = resolveThreads(max_chunks);
+    if (threads == 1) {
+        // A serial request is serial all the way down: nested
+        // parallel regions (e.g. a per-job run at threads=0 inside
+        // runBatch(..., 1)) stay on this thread too.  A single chunk
+        // that only arises from a one-item range under a wider
+        // request still runs through the pool, free to fan out.
+        const SerialScope serial;
+        body(begin, end, 0);
+        return;
+    }
+    const int chunks =
+        static_cast<int>(std::min<int64_t>(threads, n));
     const int64_t base = n / chunks;
     const int64_t extra = n % chunks;
     ThreadPool::global().run(chunks, [&](int c) {

@@ -87,6 +87,10 @@ class ThreadPool
  * accumulators merged in chunk-index order therefore yield identical
  * results for every pool size.
  *
+ * When max_chunks resolves to 1 the body runs inline as one chunk
+ * and every parallel region nested inside it runs inline too, so
+ * threads=1 means one thread end to end.
+ *
  * @param max_chunks Desired parallelism; <= 0 means defaultThreads().
  */
 void parallelFor(int64_t begin, int64_t end, int max_chunks,

@@ -51,9 +51,7 @@ evaluateSuite(const std::vector<Workload> &suite, const Device &device,
     // the per-policy candidate batches (adaptSearch neighbourhoods,
     // Runtime-Best sweeps via NoisyMachine::runBatch) run serially,
     // as does the shot-level parallelism inside NoisyMachine::run.
-    // Conversely, a serial suite (threads == 1) lets each policy's
-    // batch fan out across the pool itself, so the hardware stays
-    // busy either way.
+    // A serial suite (threads == 1) is serial all the way down.
     std::vector<SuiteRow> rows(suite.size());
     parallelFor(0, static_cast<int64_t>(suite.size()), options.threads,
                 [&](int64_t lo, int64_t hi, int) {

@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <cstring>
-#include <type_traits>
 #include <utility>
 
 #include "circuit/clifford1q.hh"
@@ -1001,11 +1000,6 @@ bindFrameProgram(const ExecutionPlan &plan, const FrameSkeleton &skel,
     prog.numQubits = static_cast<int>(plan.active.size());
     prog.numClbits = plan.maxClbit + 1;
     prog.branchDepth = skel.branchDepth;
-    // Lane width is a bind-time property: the skeleton (and so the
-    // program cache) stays lane-independent, while every Sparse
-    // anyThresh below is resolved for this width.
-    prog.laneWords = frameLaneWordsFromEnv();
-    const int frame_lanes = prog.laneCount();
 
     // Cursors into the recorded reference-walk traces, consumed in
     // lock-step with the structure-only guards the skeleton used.
@@ -1041,8 +1035,7 @@ bindFrameProgram(const ExecutionPlan &plan, const FrameSkeleton &skel,
                 "twirlCoherent");
         FrameTwirlOp t;
         t.q = dq;
-        t.prob = makeFrameBernoulli(twirlZProbability(phase),
-                                     frame_lanes);
+        t.prob = makeFrameBernoulli(twirlZProbability(phase));
         if (t.prob.mode == FrameBernoulli::Mode::Never)
             return;
         prog.twirl.push_back(t);
@@ -1075,7 +1068,7 @@ bindFrameProgram(const ExecutionPlan &plan, const FrameSkeleton &skel,
                 // defers it to an exact per-shot rerun forced at
                 // this ordinal.
                 m.randT1Ordinal = prog.randomT1Count++;
-                m.t1 = makeFrameBernoulli(gamma * 0.5, frame_lanes);
+                m.t1 = makeFrameBernoulli(gamma * 0.5);
                 if (prog.branchDepth > 0) {
                     recordFlipSupport(prog, m, trace.flipX,
                                       trace.flipZ);
@@ -1089,13 +1082,12 @@ bindFrameProgram(const ExecutionPlan &plan, const FrameSkeleton &skel,
                     prog.t1Sites.push_back(std::move(site));
                 }
             } else {
-                m.t1 = makeFrameBernoulli(gamma, frame_lanes);
+                m.t1 = makeFrameBernoulli(gamma);
             }
         }
         if (flags.whiteDephasing) {
             m.deph = makeFrameBernoulli(
-                whiteDephasingFlipProbability(dt_us, qc.t2WhiteUs),
-                frame_lanes);
+                whiteDephasingFlipProbability(dt_us, qc.t2WhiteUs));
         }
         if (m.t1.mode == FrameBernoulli::Mode::Never &&
             m.deph.mode == FrameBernoulli::Mode::Never)
@@ -1135,8 +1127,8 @@ bindFrameProgram(const ExecutionPlan &plan, const FrameSkeleton &skel,
                 recordFlipSupport(prog, m, trace.flipX, trace.flipZ);
             refCl[static_cast<size_t>(step.clbit)] = m.refBit;
             if (flags.measurementErrors) {
-                m.err01 = makeFrameBernoulli(step.err01, frame_lanes);
-                m.err10 = makeFrameBernoulli(step.err10, frame_lanes);
+                m.err01 = makeFrameBernoulli(step.err01);
+                m.err10 = makeFrameBernoulli(step.err10);
             }
             prog.meas.push_back(m);
             prog.ops.push_back(
@@ -1159,7 +1151,7 @@ bindFrameProgram(const ExecutionPlan &plan, const FrameSkeleton &skel,
                 FrameErr2QOp e;
                 e.a = step.q;
                 e.b = step.q2;
-                e.prob = makeFrameBernoulli(step.cxError, frame_lanes);
+                e.prob = makeFrameBernoulli(step.cxError);
                 prog.err2q.push_back(e);
                 prog.ops.push_back(
                     {FrameOpRef::Kind::Err2Q,
@@ -1193,7 +1185,7 @@ bindFrameProgram(const ExecutionPlan &plan, const FrameSkeleton &skel,
                     FrameErr1QOp e;
                     e.q = step.q;
                     e.prob =
-                        makeFrameBernoulli(step.pulses[i].errorProb, frame_lanes);
+                        makeFrameBernoulli(step.pulses[i].errorProb);
                     for (size_t p = 0; p < 3; p++)
                         e.mapped[p] = trace.mapped[i][p];
                     prog.err1q.push_back(e);
@@ -1274,7 +1266,6 @@ compileFrameTail(const FrameProgram &parent, uint32_t ordinal)
     prog.numQubits = parent.numQubits;
     prog.numClbits = parent.numClbits;
     prog.branchDepth = parent.branchDepth - 1;
-    prog.laneWords = parent.laneWords;
 
     // The post-jump reference and its recorded bits, advanced through
     // the parent's suffix to re-resolve everything
@@ -1354,7 +1345,7 @@ compileFrameTail(const FrameProgram &parent, uint32_t ordinal)
                 if (p1 == 0.5) {
                     m.t1Ref = 2;
                     m.randT1Ordinal = prog.randomT1Count++;
-                    m.t1 = makeFrameBernoulli(pm.gamma * 0.5, parent.laneCount());
+                    m.t1 = makeFrameBernoulli(pm.gamma * 0.5);
                     const bool sup =
                         ref.measureFlipSupport(m.q, flip_x, flip_z);
                     require(sup,
@@ -1372,7 +1363,7 @@ compileFrameTail(const FrameProgram &parent, uint32_t ordinal)
                     prog.t1Sites.push_back(std::move(s));
                 } else {
                     m.t1Ref = p1 == 1.0 ? 1 : 0;
-                    m.t1 = makeFrameBernoulli(pm.gamma, parent.laneCount());
+                    m.t1 = makeFrameBernoulli(pm.gamma);
                 }
             }
             if (m.t1.mode == FrameBernoulli::Mode::Never &&
@@ -1846,59 +1837,52 @@ laneUniformInt(uint64_t *words, size_t stride, int l, uint64_t n)
 
 BatchShotReplayer::BatchShotReplayer(const ExecutionPlan &plan,
                                      const ShotProgram &prog)
-    : scalar_(plan, prog), bsv_(prog.numQubits, kBatchLanes),
-      tapes_(kBatchLanes),
+    : scalar_(plan, prog), tapes_(kBatchLanes),
       laneAmps_(uint64_t{1} << prog.numQubits),
-      laneFactors_(kBatchLanes),
       drawBatched_(!prog.flags.ouDephasing),
       gateWords_(drawBatched_ ? size_t{4} * kBatchLanes : 0),
       qubitWords_(drawBatched_
                       ? size_t{4} * kBatchLanes *
                             static_cast<size_t>(prog.numQubits)
-                      : 0),
-      refMode_(prog.phaseSlots == 0)
+                      : 0)
 {
     require(eligible(prog),
             "BatchShotReplayer requires an eligible program");
-    if (refMode_) {
-        // The event-free evolution of the general stream is
-        // shot-invariant when no per-shot dynamic phases exist:
-        // checkpoint it once, up to the first state-dependent op.
-        refDivOp_ = static_cast<uint32_t>(prog.ops.size());
-        for (uint32_t i = 0; i < prog.ops.size(); i++) {
-            const OpRef::Kind k = prog.ops[i].kind;
-            if (k == OpRef::Kind::Meas || k == OpRef::Kind::Reset) {
-                refDivOp_ = i;
-                break;
-            }
+    // The event-free evolution of the general stream is shot-invariant
+    // (no per-shot dynamic phases): checkpoint it once, up to the
+    // first state-dependent op.
+    refDivOp_ = static_cast<uint32_t>(prog.ops.size());
+    for (uint32_t i = 0; i < prog.ops.size(); i++) {
+        const OpRef::Kind k = prog.ops[i].kind;
+        if (k == OpRef::Kind::Meas || k == OpRef::Kind::Reset) {
+            refDivOp_ = i;
+            break;
         }
-        const uint64_t dim = uint64_t{1} << prog.numQubits;
-        const auto max_cp = static_cast<uint32_t>(std::max<size_t>(
-            2, kRefBudgetBytes / (dim * sizeof(Complex))));
-        refStride_ = std::max<uint32_t>(
-            1, (refDivOp_ + max_cp - 1) / max_cp);
-        const uint32_t num_cp = refDivOp_ / refStride_ + 1;
-        refAmps_.resize(size_t{num_cp} * dim);
-        scalar_.sv_.reset();
-        for (uint32_t c = 0; c < num_cp; c++) {
-            std::memcpy(refAmps_.data() + size_t{c} * dim,
-                        scalar_.sv_.data(), dim * sizeof(Complex));
-            replayPrefix(scalar_.sv_, prog.ops, c * refStride_,
-                         std::min((c + 1) * refStride_, refDivOp_),
-                         emptyTape_, nullptr, 0);
-        }
-        // The no-error prefix on the fast stream, likewise
-        // tape-invariant, shared by every no-error shot of a run.
-        size_t fast_cursor = 0;
-        refFastDivOp_ =
-            divergenceOp(prog.fastOps, emptyTape_, fast_cursor);
-        refFastAmps_.resize(dim);
-        scalar_.sv_.reset();
-        replayPrefix(scalar_.sv_, prog.fastOps, 0, refFastDivOp_,
-                     emptyTape_, nullptr, 0);
-        std::memcpy(refFastAmps_.data(), scalar_.sv_.data(),
-                    dim * sizeof(Complex));
     }
+    const uint64_t dim = uint64_t{1} << prog.numQubits;
+    const auto max_cp = static_cast<uint32_t>(std::max<size_t>(
+        2, kRefBudgetBytes / (dim * sizeof(Complex))));
+    refStride_ =
+        std::max<uint32_t>(1, (refDivOp_ + max_cp - 1) / max_cp);
+    const uint32_t num_cp = refDivOp_ / refStride_ + 1;
+    refAmps_.resize(size_t{num_cp} * dim);
+    scalar_.sv_.reset();
+    for (uint32_t c = 0; c < num_cp; c++) {
+        std::memcpy(refAmps_.data() + size_t{c} * dim,
+                    scalar_.sv_.data(), dim * sizeof(Complex));
+        replayPrefix(prog.ops, c * refStride_,
+                     std::min((c + 1) * refStride_, refDivOp_),
+                     emptyTape_);
+    }
+    // The no-error prefix on the fast stream, likewise tape-invariant,
+    // shared by every no-error shot of a run.
+    size_t fast_cursor = 0;
+    refFastDivOp_ = divergenceOp(prog.fastOps, emptyTape_, fast_cursor);
+    refFastAmps_.resize(dim);
+    scalar_.sv_.reset();
+    replayPrefix(prog.fastOps, 0, refFastDivOp_, emptyTape_);
+    std::memcpy(refFastAmps_.data(), scalar_.sv_.data(),
+                dim * sizeof(Complex));
 }
 
 uint64_t
@@ -2110,23 +2094,6 @@ BatchShotReplayer::drawBlockTapes(const Rng &base, int64_t first_shot,
     }
 }
 
-bool
-BatchShotReplayer::phasesUniform(const ShotTape &rep,
-                                 const int *lanes,
-                                 int group_size) const
-{
-    if (rep.phases.empty())
-        return true;
-    const size_t bytes = rep.phases.size() * sizeof(double);
-    for (int g = 1; g < group_size; g++) {
-        const ShotTape &t = tapes_[static_cast<size_t>(lanes[g])];
-        if (std::memcmp(t.phases.data(), rep.phases.data(), bytes) !=
-            0)
-            return false;
-    }
-    return true;
-}
-
 uint32_t
 BatchShotReplayer::divergenceOp(const std::vector<OpRef> &stream,
                                 const ShotTape &rep,
@@ -2157,15 +2124,12 @@ BatchShotReplayer::divergenceOp(const std::vector<OpRef> &stream,
     return static_cast<uint32_t>(stream.size());
 }
 
-template <class SV>
 void
-BatchShotReplayer::replayPrefix(SV &sv,
-                                const std::vector<OpRef> &stream,
+BatchShotReplayer::replayPrefix(const std::vector<OpRef> &stream,
                                 uint32_t from, uint32_t to,
-                                const ShotTape &rep,
-                                const int *lanes, int group_size)
+                                const ShotTape &rep)
 {
-    constexpr bool kBatch = std::is_same_v<SV, BatchStateVector>;
+    StateVector &sv = scalar_.sv_;
     const ShotProgram &prog = scalar_.prog_;
     const NoiseFlags &flags = prog.flags;
     const std::vector<ShotEvent> &events = rep.events;
@@ -2184,32 +2148,10 @@ BatchShotReplayer::replayPrefix(SV &sv,
                 }
                 break;
             }
-            if (c.ouKind != 0) {
-                if constexpr (kBatch) {
-                    // Per-lane dynamic phases.  A lane whose phase
-                    // is 0.0 (the scalar path skips its sweep)
-                    // receives the exact factor (1, +0); only the
-                    // sign of zero amplitudes can differ, which no
-                    // population sum or outcome key observes.
-                    for (int g = 0; g < group_size; g++) {
-                        const double phi =
-                            tapes_[static_cast<size_t>(lanes[g])]
-                                .phases[c.phaseSlot];
-                        laneFactors_[static_cast<size_t>(g)] =
-                            std::exp(kImag * phi);
-                    }
-                    sv.applyPhaseFactors(c.q, laneFactors_.data());
-                } else {
-                    // Uniform group: every member's phase equals the
-                    // representative's, so the scalar replay's exact
-                    // skip-on-zero semantics apply.
-                    const double phi = rep.phases[c.phaseSlot];
-                    if (phi != 0.0)
-                        sv.applyPhase(c.q, phi);
-                }
-            } else if (c.staticPhi != 0.0) {
+            // Eligible programs have no dynamic phase slots, so every
+            // untwirled phase is static.
+            if (c.staticPhi != 0.0)
                 sv.applyPhase(c.q, c.staticPhi);
-            }
             break;
           }
           case OpRef::Kind::Markov: {
@@ -2353,75 +2295,44 @@ BatchShotReplayer::runSubBlock(const Rng &base, int64_t first_shot,
         if (group_size < 2 || d == 0) {
             // Nothing to share across lanes: per-shot replay, from
             // the precomputed reference below the shot's first
-            // divergence when the event-free prefix is
-            // shot-invariant.
+            // divergence.
             for (int g = 0; g < group_size; g++) {
-                const ShotTape &tape =
-                    tapes_[static_cast<size_t>(lanes[g])];
-                if (refMode_)
-                    hist.add(replayShotFromRef(tape), 1.0);
-                else
-                    hist.add(scalar_.replayShot(tape), 1.0);
+                hist.add(replayShotFromRef(
+                             tapes_[static_cast<size_t>(lanes[g])]),
+                         1.0);
             }
             continue;
         }
 
+        // Every member's prefix is the identical operator sequence:
+        // run it once on the scalar state, snapshot, and give each
+        // member the shared state for its divergent tail.  An
+        // event-carrying group starts from the reference checkpoint
+        // below its first event.
         stats_.batchedShots += group_size;
-        if (phasesUniform(rep, lanes, group_size)) {
-            // Every member's prefix is the identical operator
-            // sequence (equal events AND equal dynamic phases): run
-            // it once on the scalar state, snapshot, and give each
-            // member the shared state for its divergent tail.  An
-            // event-carrying group additionally starts from the
-            // reference checkpoint below its first event (refMode_).
-            if (refMode_ && rep.events.empty()) {
-                // No-error group: its fast-stream prefix state is
-                // block-invariant, and d here always equals
-                // refFastDivOp_ (both are the first Meas/Reset of
-                // fastOps), so the precomputed reference IS the
-                // shared snapshot.
-                std::memcpy(laneAmps_.data(), refFastAmps_.data(),
-                            dim * sizeof(Complex));
-            } else {
-                if (refMode_) {
-                    const uint32_t j =
-                        std::min(rep.events[0].op, refDivOp_);
-                    const uint32_t cp = j / refStride_;
-                    scalar_.sv_.setAmplitudes(
-                        refAmps_.data() + size_t{cp} * dim, dim);
-                    replayPrefix(scalar_.sv_, stream,
-                                 cp * refStride_, d, rep, lanes, 1);
-                } else {
-                    scalar_.sv_.reset();
-                    replayPrefix(scalar_.sv_, stream, 0, d, rep,
-                                 lanes, 1);
-                }
-                std::memcpy(laneAmps_.data(), scalar_.sv_.data(),
-                            dim * sizeof(Complex));
-            }
-            for (int g = 0; g < group_size; g++) {
-                const ShotTape &tape =
-                    tapes_[static_cast<size_t>(lanes[g])];
-                scalar_.sv_.setAmplitudes(laneAmps_.data(), dim);
-                scalar_.packer_.clear();
-                scalar_.totalShots_++;
-                if (tape.events.empty())
-                    scalar_.fastShots_++;
-                scalar_.replayRange(stream, d, tape, cursor_at_d);
-                hist.add(scalar_.packer_.key(), 1.0);
-            }
-            continue;
+        if (rep.events.empty()) {
+            // No-error group: its fast-stream prefix state is
+            // block-invariant, and d here always equals
+            // refFastDivOp_ (both are the first Meas/Reset of
+            // fastOps), so the precomputed reference IS the shared
+            // snapshot.
+            std::memcpy(laneAmps_.data(), refFastAmps_.data(),
+                        dim * sizeof(Complex));
+        } else {
+            const uint32_t j = std::min(rep.events[0].op, refDivOp_);
+            const uint32_t cp = j / refStride_;
+            scalar_.sv_.setAmplitudes(
+                refAmps_.data() + size_t{cp} * dim, dim);
+            replayPrefix(stream, cp * refStride_, d, rep);
+            std::memcpy(laneAmps_.data(), scalar_.sv_.data(),
+                        dim * sizeof(Complex));
         }
-
-        bsv_.reset(group_size);
-        replayPrefix(bsv_, stream, 0, d, rep, lanes, group_size);
         for (int g = 0; g < group_size; g++) {
             const ShotTape &tape =
                 tapes_[static_cast<size_t>(lanes[g])];
-            bsv_.extractLane(g, laneAmps_.data());
             scalar_.sv_.setAmplitudes(laneAmps_.data(), dim);
-            // No measurement ran before the peel point, so the
-            // packer is clear at the divergence op in every lane.
+            // No measurement ran before the divergence op, so the
+            // packer is clear there in every member.
             scalar_.packer_.clear();
             scalar_.totalShots_++;
             if (tape.events.empty())

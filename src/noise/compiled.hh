@@ -65,7 +65,6 @@
 #include "sim/backend.hh"
 #include "sim/frame_batch.hh"
 #include "sim/statevector.hh"
-#include "sim/statevector_batch.hh"
 #include "transpile/schedule.hh"
 
 namespace adapt
@@ -652,7 +651,7 @@ struct DenseBatchStats
     int64_t blocks = 0;  //!< <= 64-shot draw blocks formed
     int64_t groups = 0;  //!< signature groups (singletons included)
     int64_t batchedShots = 0;  //!< shots whose prefix was amortized
-                               //!< (SoA planes or shared scalar)
+                               //!< (shared group prefix)
     int64_t noErrorShots = 0;  //!< shots whose draw pass fired nothing
 
     void merge(const DenseBatchStats &other)
@@ -742,27 +741,27 @@ class ShotReplayer
 };
 
 /**
- * Shot-batched dense replay: the grouped execution strategy behind
- * `ADAPT_DENSE_SHOT_BATCH` (docs/README).
+ * Shot-batched dense replay for small registers without per-shot
+ * dynamic phases (see eligible()).
  *
  * Each <= 64-shot block first runs the state-independent draw pass
  * for every shot, then groups shots whose tapes resolved to the same
  * *event signature* — the sequence of (op, pulse, kind, Pauli codes),
  * ignoring the per-shot measurement words.  At realistic error rates
  * the empty signature (no event fired) dominates, so one group
- * usually holds most of the block.  Each group's gate stream is then
- * executed once over a structure-of-arrays BatchStateVector that
- * advances all member shots per amplitude sweep, up to the group's
- * first *divergent* op — a measurement, reset, or population-
- * conditional T1 jump, whose effect depends on per-shot state or
- * per-shot words — at which point every lane is peeled back into the
- * scalar ShotReplayer to finish alone.
+ * usually holds most of the block.  Members of a group apply the
+ * identical operator sequence up to the group's first *divergent*
+ * op — a measurement, reset, or population-conditional T1 jump,
+ * whose effect depends on per-shot state or per-shot words — so that
+ * prefix runs once on the scalar state and every member finishes
+ * alone from the shared snapshot.  The event-free evolution is
+ * shot-invariant, so it is checkpointed once at construction and
+ * each prefix starts from the checkpoint below its first event.
  *
  * Bit-identity: tapes are drawn from the same per-shot forks in the
- * same order as ShotReplayer::runBlock, the SoA kernels reproduce the
- * scalar kernels' roundings exactly, and divergence peels *before*
- * any state-dependent resolution, so every outcome key equals the
- * per-shot path's for any seed, thread count, and block split.
+ * same order as ShotReplayer::runBlock and the shared prefix is the
+ * scalar replay's own operator sequence, so every outcome key equals
+ * the per-shot path's for any seed, thread count, and block split.
  */
 class BatchShotReplayer
 {
@@ -770,19 +769,21 @@ class BatchShotReplayer
     BatchShotReplayer(const ExecutionPlan &plan,
                       const ShotProgram &prog);
 
-    /** Widest register the SoA planes will allocate (dim x 64 lanes
-     *  of split re/im doubles: 4 MiB at the cap). */
+    /** Widest register that takes the grouped path. */
     static constexpr int kMaxBatchQubits = 12;
 
     /** Lanes per draw block (matches the engine's kShotBlock). */
     static constexpr int kBatchLanes = 64;
 
-    /** True when @p prog is small enough for the SoA planes; larger
-     *  registers stay on the per-shot path (their per-op sweeps are
-     *  wide enough to amortize dispatch already). */
+    /** True when @p prog takes the grouped path: a small register
+     *  (larger ones have per-op sweeps wide enough to amortize
+     *  dispatch already) with no per-shot dynamic phases (OU
+     *  dephasing gives every shot its own phases, so no two shots
+     *  share a prefix). */
     static bool eligible(const ShotProgram &prog)
     {
-        return prog.numQubits <= kMaxBatchQubits;
+        return prog.numQubits <= kMaxBatchQubits &&
+               prog.phaseSlots == 0;
     }
 
     /**
@@ -823,23 +824,13 @@ class BatchShotReplayer
                           size_t &cursor_out) const;
 
     /**
-     * Execute stream ops [from, to) of the group whose members are
-     * tape indices @p lanes on @p sv — the SoA planes
-     * (BatchStateVector, one lane per member) or, when every
-     * member's dynamic phases are bitwise identical, a single scalar
-     * StateVector whose final state is shared by all members.
+     * Execute stream ops [from, to) of a group with representative
+     * tape @p rep on the scalar state; the final state is shared by
+     * every member of the group.
      * @pre Every event of @p rep sits at an op >= from.
      */
-    template <class SV>
-    void replayPrefix(SV &sv, const std::vector<OpRef> &stream,
-                      uint32_t from, uint32_t to, const ShotTape &rep,
-                      const int *lanes, int group_size);
-
-    /** True when every group member's tape carries bitwise-identical
-     *  dynamic phases (always, when the program has no phase slots):
-     *  the group prefix is lane-invariant and can run once. */
-    bool phasesUniform(const ShotTape &rep, const int *lanes,
-                       int group_size) const;
+    void replayPrefix(const std::vector<OpRef> &stream, uint32_t from,
+                      uint32_t to, const ShotTape &rep);
 
     /** Memory budget for the reference checkpoints; refStride_ (ops
      *  between checkpoints) is the smallest stride fitting it, so
@@ -848,40 +839,35 @@ class BatchShotReplayer
     static constexpr size_t kRefBudgetBytes = size_t{4} << 20;
 
     /**
-     * Replay a shot whose tape fired at least one event, starting
-     * from the reference checkpoint at or below its first event
-     * instead of |0...0> (refMode_ only: the event-free prefix is
+     * Replay a shot from the precomputed reference below its first
+     * divergence instead of |0...0> (the event-free prefix is
      * shot-invariant, so ops [0, cp) are skipped outright).
      */
     uint64_t replayShotFromRef(const ShotTape &tape);
 
     ShotReplayer scalar_;
-    BatchStateVector bsv_;
     std::vector<ShotTape> tapes_;  //!< kBatchLanes reusable tapes
-    std::vector<Complex> laneAmps_;     //!< extractLane scratch
-    std::vector<Complex> laneFactors_;  //!< per-lane phase scratch
+    std::vector<Complex> laneAmps_;     //!< shared-prefix snapshot
     bool drawBatched_;  //!< SoA draw pass valid (no OU Gaussians)
     std::vector<uint64_t> gateWords_;   //!< [word][lane] gate stream
     std::vector<uint64_t> qubitWords_;  //!< [qubit][word][lane]
 
     /**
-     * Event-free reference evolution (refMode_, i.e. no per-shot
-     * dynamic phases): the state of the general op stream before op
-     * c * refStride_, for every checkpoint c up to the stream's
-     * first Meas / Reset op (refDivOp_).  Shot-invariant — any
-     * shot's state before its first event is the reference state —
-     * so it is built once at construction and each error shot's
-     * replay starts at the checkpoint below its first event.
+     * Event-free reference evolution: the state of the general op
+     * stream before op c * refStride_, for every checkpoint c up to
+     * the stream's first Meas / Reset op (refDivOp_).  Shot-invariant
+     * — any shot's state before its first event is the reference
+     * state — so it is built once at construction and each error
+     * shot's replay starts at the checkpoint below its first event.
      */
-    bool refMode_;
     uint32_t refDivOp_ = 0;
     uint32_t refStride_ = 1;        //!< ops between checkpoints
     std::vector<Complex> refAmps_;  //!< [checkpoint][basis]
     ShotTape emptyTape_;            //!< reference (no events)
 
     /** The no-error group's prefix on the fast stream is the same
-     *  tape-independent evolution (refMode_): its state at the fast
-     *  stream's first Meas / Reset op, computed once. */
+     *  tape-independent evolution: its state at the fast stream's
+     *  first Meas / Reset op, computed once. */
     uint32_t refFastDivOp_ = 0;
     std::vector<Complex> refFastAmps_;
 

@@ -478,16 +478,15 @@ NoisyMachine::runPartial(const PreparedCircuit &prepared, int shots,
     RunOutcome out;
 
     if (mode == ExecMode::Compiled && job.frame.has_value()) {
-        // Batched Pauli-frame engine: shots propagate laneCount() at
-        // a time through the compiled frame op stream (the width is a
-        // bind-time property of the program — ADAPT_FRAME_LANES).
+        // Batched Pauli-frame engine: shots propagate kFrameLanes at
+        // a time through the compiled frame op stream.
         // Blocks are a pure function of the shot count, each block's
         // randomness is forked from (base, absolute lane group), and
         // the per-chunk histograms merge in key order — so the output
         // is bit-identical for any thread count, batch-vs-serial, and
         // any point a stop request lands.
         const FrameProgram &prog = *job.frame;
-        const auto lane_count = static_cast<int64_t>(prog.laneCount());
+        constexpr int64_t lane_count = kFrameLanes;
         const auto blocks = static_cast<int64_t>(
             (static_cast<int64_t>(shots) + lane_count - 1) /
             lane_count);
@@ -587,16 +586,12 @@ NoisyMachine::runPartial(const PreparedCircuit &prepared, int shots,
     std::vector<FlatAccumulator> histograms(
         static_cast<size_t>(chunks));
 
-    // Small compiled jobs take the grouped SoA replay: tapes for a
-    // whole kShotBlock block are drawn up front, equal error
-    // signatures share one multi-shot gate-stream execution, and
-    // divergent shots peel back to the scalar replayer — identical
-    // outcomes, so the knob is a pure execution-strategy choice.
-    // Read live (not once) so tests can flip it per run.
-    const bool grouped = compiled &&
-                         BatchShotReplayer::eligible(*job.program) &&
-                         envFlag("ADAPT_DENSE_SHOT_BATCH",
-                                 /*fallback=*/true);
+    // Small compiled jobs without per-shot dynamic phases take the
+    // grouped replay: tapes for a whole kShotBlock block are drawn up
+    // front and shots with equal error signatures share one prefix
+    // execution — identical outcomes to the per-shot replay.
+    const bool grouped =
+        compiled && BatchShotReplayer::eligible(*job.program);
 
     struct ChunkWorker
     {
@@ -726,7 +721,7 @@ NoisyMachine::shardBlockShots(const PreparedCircuit &prepared,
             "shardBlockShots on an empty PreparedCircuit");
     const PreparedJob &job = *prepared.impl_;
     return mode == ExecMode::Compiled && job.frame.has_value()
-               ? static_cast<int64_t>(job.frame->laneCount())
+               ? static_cast<int64_t>(kFrameLanes)
                : static_cast<int64_t>(kShotBlock);
 }
 
@@ -763,7 +758,7 @@ NoisyMachine::runShardRange(
         // wave/chunking-invariant, so draining after every block
         // matches any other drain cadence bit for bit.
         const FrameProgram &prog = *job.frame;
-        const auto lane_count = static_cast<int64_t>(prog.laneCount());
+        constexpr int64_t lane_count = kFrameLanes;
         FrameBatchBackend runner(prog);
         StabilizerState scratch(prog.numQubits);
         OutcomePacker packer(prog.numClbits);
@@ -796,10 +791,8 @@ NoisyMachine::runShardRange(
     // changes outcomes.
     const bool compiled =
         mode == ExecMode::Compiled && job.program.has_value();
-    const bool grouped = compiled &&
-                         BatchShotReplayer::eligible(*job.program) &&
-                         envFlag("ADAPT_DENSE_SHOT_BATCH",
-                                 /*fallback=*/true);
+    const bool grouped =
+        compiled && BatchShotReplayer::eligible(*job.program);
     std::unique_ptr<ShotReplayer> replayer;
     std::unique_ptr<BatchShotReplayer> batch;
     std::unique_ptr<SimBackend> state;

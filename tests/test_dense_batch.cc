@@ -3,15 +3,14 @@
  * Grouped (shot-batched) dense replay vs. the per-shot paths.
  *
  * The contract under test (noise/compiled.hh BatchShotReplayer):
- * grouping a block's shots by resolved error pattern and sweeping
- * each group's gate stream once over the SoA BatchStateVector changes
- * *nothing observable* — for any noise-flag combination, seed, thread
- * count, and batch-vs-serial split, the grouped path is bit-identical
- * to the per-shot compiled replay (ADAPT_DENSE_SHOT_BATCH=0) and to
- * the interpreted reference.  On top of the identity locks the suite
- * pins the dispatch rules (eligibility cap, live kill switch, strict
- * knob parsing) and the occupancy counters surfaced through
- * RunOutcome::denseStats.
+ * grouping a block's shots by resolved error pattern and running
+ * each group's shared prefix once changes *nothing observable* — for
+ * any noise-flag combination, seed, thread count, and
+ * batch-vs-serial split, the grouped path is bit-identical to the
+ * per-shot compiled replay (ShotReplayer::runBlock driven directly)
+ * and to the interpreted reference.  On top of the identity locks the
+ * suite pins the dispatch rules (qubit cap, OU phases stay per-shot)
+ * and the occupancy counters surfaced through RunOutcome::denseStats.
  *
  * Run under ADAPT_NUM_THREADS=1/4/8 in CI: the thread-identity
  * assertions then cover every pool size.
@@ -19,7 +18,7 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
+#include <cmath>
 #include <vector>
 
 #include "common/cancellation.hh"
@@ -39,21 +38,15 @@ using namespace adapt::testutil;
 namespace
 {
 
-/** Scoped environment override, restored (to unset) on destruction.
- *  The grouped-dense knob is read live per run, so flipping it
- *  between runs of one prepared handle is well-defined. */
-class EnvGuard
+/** Every channel except OU dephasing, whose per-shot phases keep a
+ *  program off the grouped path. */
+NoiseFlags
+groupableFlags()
 {
-  public:
-    EnvGuard(const char *name, const char *value) : name_(name)
-    {
-        setenv(name, value, /*overwrite=*/1);
-    }
-    ~EnvGuard() { unsetenv(name_); }
-
-  private:
-    const char *name_;
-};
+    NoiseFlags flags = NoiseFlags::all();
+    flags.ouDephasing = false;
+    return flags;
+}
 
 std::vector<int>
 threadCounts()
@@ -72,6 +65,28 @@ compileWorkload(const Circuit &logical, const Device &device)
 }
 
 /**
+ * Shots [0, shots) of @p sched on the per-shot compiled replay:
+ * ShotReplayer::runBlock driven directly, with the engine's run-seed
+ * derivation.
+ */
+Distribution
+perShotReplay(const NoisyMachine &machine, const ScheduledCircuit &sched,
+              int shots, uint64_t seed)
+{
+    const ExecutionPlan plan =
+        buildPlan(sched, machine.calibration(), machine.flags());
+    const ShotProgram prog = compileShotProgram(
+        plan, machine.calibration(), machine.flags());
+    ShotReplayer replayer(plan, prog);
+    FlatAccumulator hist;
+    replayer.runBlock(Rng(seed ^ 0xadab7dd), 0, shots, hist);
+    Distribution dist;
+    for (const auto &[key, count] : hist.sortedItems())
+        dist.addSamples(key, static_cast<uint64_t>(std::llround(count)));
+    return dist;
+}
+
+/**
  * Assert the grouped replay (the default) reproduces both per-shot
  * paths bit for bit at several thread counts, and actually engaged
  * (denseStats.shots covers the run).
@@ -83,11 +98,8 @@ expectGroupedMatchesPerShot(const NoisyMachine &machine,
 {
     const PreparedCircuit prepared =
         machine.prepare(sched, BackendKind::Dense);
-    Distribution pershot;
-    {
-        EnvGuard off("ADAPT_DENSE_SHOT_BATCH", "0");
-        pershot = machine.run(prepared, shots, seed, 1);
-    }
+    const Distribution pershot =
+        perShotReplay(machine, sched, shots, seed);
     const Distribution interpreted =
         machine.run(sched, shots, seed, 1, BackendKind::Dense,
                     ExecMode::Interpreted);
@@ -110,7 +122,7 @@ expectGroupedMatchesPerShot(const NoisyMachine &machine,
 TEST(DenseBatch, GroupedMatchesPerShotOnNonCliffordWorkload)
 {
     const Device device = Device::ibmqRome();
-    const NoisyMachine machine(device); // NoiseFlags::all(), incl. OU
+    const NoisyMachine machine(device, 0, groupableFlags());
     const ScheduledCircuit sched =
         compileWorkload(makeQaoa(5, QaoaGraph::A), device);
     for (uint64_t seed : {3ULL, 11ULL, 31337ULL})
@@ -121,7 +133,9 @@ TEST(DenseBatch, GroupedMatchesPerShotPerNoiseChannel)
 {
     // One flag at a time (plus all-off, all-on, twirl): every event
     // kind crosses the grouped path — gate-error splices, measurement
-    // word flips, T1 divergence peels, OU per-lane phase factors.
+    // word flips, T1 divergence peels, OU Gaussians under the twirl
+    // (no phase slots, so grouped with the scalar draw pass) — and
+    // the OU-phase configs check the per-shot routing.
     std::vector<NoiseFlags> configs;
     configs.push_back(NoiseFlags::none());
     configs.push_back(NoiseFlags::all());
@@ -146,11 +160,8 @@ TEST(DenseBatch, GroupedMatchesPerShotPerNoiseChannel)
         const NoisyMachine machine(device, 0, configs[i]);
         const PreparedCircuit prepared =
             machine.prepare(sched, BackendKind::Dense);
-        Distribution pershot;
-        {
-            EnvGuard off("ADAPT_DENSE_SHOT_BATCH", "0");
-            pershot = machine.run(prepared, 500, 29 + i, 1);
-        }
+        const Distribution pershot =
+            perShotReplay(machine, sched, 500, 29 + i);
         EXPECT_TRUE(distributionsIdentical(
             pershot, machine.run(prepared, 500, 29 + i, 4)))
             << "config " << i;
@@ -176,7 +187,7 @@ TEST(DenseBatch, GroupedMatchesPerShotOnDDPaddedWorkload)
 TEST(DenseBatch, BatchVsSerialBitIdentical)
 {
     const Device device = Device::ibmqRome();
-    const NoisyMachine machine(device);
+    const NoisyMachine machine(device, 0, groupableFlags());
     std::vector<PreparedCircuit> prepared;
     std::vector<uint64_t> seeds;
     for (int v = 0; v < 5; v++) {
@@ -202,9 +213,10 @@ TEST(DenseBatch, BatchVsSerialBitIdentical)
 TEST(DenseBatch, CancellationReturnsExactBlockPrefix)
 {
     const Device device = Device::ibmqRome();
-    const NoisyMachine machine(device);
-    const PreparedCircuit prepared = machine.prepare(
-        compileWorkload(makeQaoa(5, QaoaGraph::A), device));
+    const NoisyMachine machine(device, 0, groupableFlags());
+    const ScheduledCircuit sched =
+        compileWorkload(makeQaoa(5, QaoaGraph::A), device);
+    const PreparedCircuit prepared = machine.prepare(sched);
     constexpr int kShots = 4000;
 
     for (int threads : {1, 3}) {
@@ -228,76 +240,62 @@ TEST(DenseBatch, CancellationReturnsExactBlockPrefix)
             prepared, static_cast<int>(out.shotsDone), 9);
         EXPECT_TRUE(distributionsIdentical(out.dist, prefix))
             << "threads=" << threads;
-        EnvGuard off("ADAPT_DENSE_SHOT_BATCH", "0");
         EXPECT_TRUE(distributionsIdentical(
-            out.dist, machine.run(prepared,
-                                  static_cast<int>(out.shotsDone), 9)))
+            out.dist, perShotReplay(machine, sched,
+                                    static_cast<int>(out.shotsDone),
+                                    9)))
             << "threads=" << threads;
     }
 }
 
 // ------------------------------------------- dispatch and occupancy
 
-TEST(DenseBatch, KillSwitchRestoresPerShotPath)
-{
-    const Device device = Device::ibmqRome();
-    const NoisyMachine machine(device);
-    const PreparedCircuit prepared = machine.prepare(
-        compileWorkload(makeQaoa(4, QaoaGraph::A), device));
-    EnvGuard off("ADAPT_DENSE_SHOT_BATCH", "0");
-    const RunOutcome out =
-        machine.runPartial(prepared, 300, 5, 1, RunControl{});
-    EXPECT_EQ(out.denseStats.shots, 0);
-    EXPECT_EQ(out.denseStats.blocks, 0);
-}
-
-TEST(DenseBatch, GarbageKnobFallsBackToGroupedDefault)
-{
-    // Strict parsing: an unparseable value warns once and behaves as
-    // the documented default (grouped on) — outcomes unchanged.
-    const Device device = Device::ibmqRome();
-    const NoisyMachine machine(device);
-    const PreparedCircuit prepared = machine.prepare(
-        compileWorkload(makeQaoa(4, QaoaGraph::A), device));
-    const Distribution reference = machine.run(prepared, 300, 5, 1);
-    EnvGuard garbage("ADAPT_DENSE_SHOT_BATCH", "banana");
-    const RunOutcome out =
-        machine.runPartial(prepared, 300, 5, 1, RunControl{});
-    EXPECT_TRUE(distributionsIdentical(reference, out.dist));
-    EXPECT_EQ(out.denseStats.shots, 300);
-}
-
 TEST(DenseBatch, WideRegistersStayOnPerShotPath)
 {
-    // Above kMaxBatchQubits the SoA planes are never allocated; the
-    // per-shot replay serves the job and the stats stay zero.
-    const int n = BatchShotReplayer::kMaxBatchQubits + 1;
-    const Device device =
-        Device::synthetic(Topology::linear(n), 77);
-    const NoisyMachine machine(device, 0, NoiseFlags::none());
-    Circuit c(n);
-    c.h(0);
-    c.t(0);
-    for (int q = 0; q + 1 < n; q++)
-        c.cx(q, q + 1);
-    c.measureAll();
-    const ScheduledCircuit sched =
-        schedule(decompose(c), device.topology(),
-                 device.calibration(0), ScheduleMode::Alap);
-    const PreparedCircuit prepared =
-        machine.prepare(sched, BackendKind::Dense);
-    const RunOutcome out =
-        machine.runPartial(prepared, 130, 3, 1, RunControl{});
-    EXPECT_EQ(out.denseStats.shots, 0);
-    EXPECT_TRUE(distributionsIdentical(
-        out.dist, machine.run(sched, 130, 3, 1, BackendKind::Dense,
-                              ExecMode::Interpreted)));
+    // Two programs the grouped path never takes: a register above
+    // kMaxBatchQubits, and a small register whose OU dephasing gives
+    // every shot its own dynamic phases.  The per-shot replay serves
+    // both and the stats stay zero.
+    NoiseFlags ou_only = NoiseFlags::none();
+    ou_only.ouDephasing = true;
+    const struct
+    {
+        int qubits;
+        NoiseFlags flags;
+    } cases[] = {
+        {BatchShotReplayer::kMaxBatchQubits + 1, NoiseFlags::none()},
+        {4, ou_only},
+    };
+    for (const auto &tc : cases) {
+        const int n = tc.qubits;
+        const Device device =
+            Device::synthetic(Topology::linear(n), 77);
+        const NoisyMachine machine(device, 0, tc.flags);
+        Circuit c(n);
+        c.h(0);
+        c.t(0);
+        for (int q = 0; q + 1 < n; q++)
+            c.cx(q, q + 1);
+        c.measureAll();
+        const ScheduledCircuit sched =
+            schedule(decompose(c), device.topology(),
+                     device.calibration(0), ScheduleMode::Alap);
+        const PreparedCircuit prepared =
+            machine.prepare(sched, BackendKind::Dense);
+        const RunOutcome out =
+            machine.runPartial(prepared, 130, 3, 1, RunControl{});
+        EXPECT_EQ(out.denseStats.shots, 0) << n << " qubits";
+        EXPECT_TRUE(distributionsIdentical(
+            out.dist, machine.run(sched, 130, 3, 1, BackendKind::Dense,
+                                  ExecMode::Interpreted)))
+            << n << " qubits";
+    }
 }
 
 TEST(DenseBatch, OccupancyCountersAreConsistent)
 {
     const Device device = Device::ibmqRome();
-    const NoisyMachine machine(device);
+    const NoisyMachine machine(device, 0, groupableFlags());
     const PreparedCircuit prepared = machine.prepare(
         compileWorkload(makeQaoa(5, QaoaGraph::A), device));
     const int shots = 5 * kShotBlock + 7;
@@ -311,9 +309,9 @@ TEST(DenseBatch, OccupancyCountersAreConsistent)
     EXPECT_LE(s.groups, s.shots);
     EXPECT_LE(s.batchedShots, s.shots);
     EXPECT_LE(s.noErrorShots, s.shots);
-    // With every channel enabled the per-shot event rate is high,
-    // but a healthy fraction must still group and sweep on the SoA
-    // planes (the lightly-noised regimes the path optimizes for group
+    // With every groupable channel enabled the per-shot event rate
+    // is high, but a healthy fraction must still group and share a
+    // prefix (the lightly-noised regimes the path optimizes for group
     // far more — see bench_shot_throughput's occupancy metrics).
     EXPECT_GT(s.batchedShots, s.shots / 4);
     EXPECT_GT(s.noErrorShots, 0);
@@ -322,7 +320,7 @@ TEST(DenseBatch, OccupancyCountersAreConsistent)
 TEST(DenseBatch, StatsMergeAcrossThreadChunks)
 {
     const Device device = Device::ibmqRome();
-    const NoisyMachine machine(device);
+    const NoisyMachine machine(device, 0, groupableFlags());
     const PreparedCircuit prepared = machine.prepare(
         compileWorkload(makeQaoa(5, QaoaGraph::A), device));
     const int shots = 8 * kShotBlock;

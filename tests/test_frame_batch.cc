@@ -12,7 +12,8 @@
  *    law on noise-free jobs),
  *  - exact equality where the law is deterministic,
  *  - bit-identity of the frame engine against itself across thread
- *    counts and batch-vs-serial (the PR's determinism contract),
+ *    counts, batch-vs-serial, and cancelled prefixes (the engine's
+ *    determinism contract),
  *  - dispatch rules (Compiled -> frame program, OU jobs fall back,
  *    Interpreted stays per-shot),
  *  - >64-clbit jobs producing identical OutcomePacker fingerprints
@@ -26,6 +27,7 @@
 
 #include <map>
 
+#include "common/cancellation.hh"
 #include "common/logging.hh"
 #include "dd/sequences.hh"
 #include "noise/machine.hh"
@@ -324,6 +326,40 @@ TEST(FrameBatch, ShotPrefixIndependentOfTotalShotCount)
                   large.probability(outcome) * 512.0 + 1e-9)
             << "outcome " << outcome;
     }
+}
+
+TEST(FrameBatch, CancelsOnWholeBlockBoundaries)
+{
+    // Cancellable run over wide planes: the frame path commits whole
+    // kFrameLanes blocks (also its shard block), so the prefix is a
+    // multiple of kFrameLanes and replays exactly.
+    const Device device = Device::synthetic(Topology::linear(40), 84);
+    const NoisyMachine machine(device, 0, NoiseFlags::pauliOnly());
+    const ScheduledCircuit sched = scheduleLinear(
+        device, randomCliffordExecutable({40, 400, false, 84}), false);
+    const PreparedCircuit prepared =
+        machine.prepare(sched, BackendKind::Stabilizer);
+    ASSERT_TRUE(prepared.frameBatched());
+    EXPECT_EQ(machine.shardBlockShots(prepared), kFrameLanes);
+    constexpr int kBlockShots = 6 * kFrameLanes;
+
+    CancellationSource source;
+    RunControl ctl;
+    ctl.token = source.token();
+    ctl.progress = [&](int64_t shots_done) {
+        if (shots_done >= kFrameLanes)
+            source.cancel();
+    };
+    const RunOutcome out =
+        machine.runPartial(prepared, kBlockShots, 21, 1, ctl);
+    ASSERT_TRUE(out.partial);
+    EXPECT_GT(out.shotsDone, 0);
+    EXPECT_LT(out.shotsDone, kBlockShots);
+    EXPECT_EQ(out.shotsDone % kFrameLanes, 0)
+        << "frame path commits whole kFrameLanes blocks";
+    EXPECT_TRUE(distributionsIdentical(
+        out.dist, machine.run(prepared,
+                              static_cast<int>(out.shotsDone), 21)));
 }
 
 // --------------------------------------------------------- dispatch

@@ -10,7 +10,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <ctime>
+#include <mutex>
+#include <set>
+#include <thread>
 #include <vector>
 
 #include "common/flat_accumulator.hh"
@@ -76,6 +81,46 @@ TEST(ParallelFor, NestedCallsRunInline)
         }
     });
     EXPECT_EQ(inner_total.load(), 40);
+}
+
+namespace
+{
+
+/** Thread ids that execute a nested threads=0 region inside each
+ *  chunk of parallelFor(0, items, outer_threads). */
+std::set<std::thread::id>
+nestedRegionThreads(int64_t items, int outer_threads)
+{
+    std::mutex mu;
+    std::set<std::thread::id> ids;
+    parallelFor(0, items, outer_threads, [&](int64_t, int64_t, int) {
+        parallelFor(0, 64, 0, [&](int64_t, int64_t, int) {
+            // Long enough that idle pool workers wake and claim
+            // chunks before the caller could drain them all.
+            std::this_thread::sleep_for(std::chrono::milliseconds(5));
+            std::lock_guard<std::mutex> lock(mu);
+            ids.insert(std::this_thread::get_id());
+        });
+    });
+    return ids;
+}
+
+} // namespace
+
+TEST(ParallelFor, SerialRequestKeepsNestedRegionsOnCaller)
+{
+    const std::set<std::thread::id> ids = nestedRegionThreads(4, 1);
+    ASSERT_EQ(ids.size(), 1u);
+    EXPECT_EQ(*ids.begin(), std::this_thread::get_id());
+}
+
+TEST(ParallelFor, SingleItemAutoRangeStillFansOut)
+{
+    // One chunk only because the range holds one item: the nested
+    // region keeps the whole pool.
+    if (defaultThreads() < 2)
+        GTEST_SKIP() << "single-executor pool";
+    EXPECT_GT(nestedRegionThreads(1, 0).size(), 1u);
 }
 
 TEST(ParallelFor, PropagatesExceptions)
@@ -178,6 +223,45 @@ TEST(ParallelMachine, BitIdenticalAcrossThreadCounts)
             << "thread count " << threads
             << " changed the output distribution";
     }
+}
+
+namespace
+{
+
+double
+cpuSeconds(clockid_t clock)
+{
+    timespec ts{};
+    clock_gettime(clock, &ts);
+    return static_cast<double>(ts.tv_sec) +
+           static_cast<double>(ts.tv_nsec) * 1e-9;
+}
+
+} // namespace
+
+TEST(ParallelMachine, RunBatchAtOneThreadStaysOnCaller)
+{
+    // runBatch(..., 1) runs each job's shots at threads=0 inside a
+    // serial request, so every shot must land on the calling thread:
+    // the rest of the process (idle pool workers) burns next to no
+    // CPU.
+    if (defaultThreads() < 2)
+        GTEST_SKIP() << "single-executor pool";
+    const Device device = Device::ibmqLondon();
+    const NoisyMachine machine(device);
+    const std::vector<ScheduledCircuit> jobs(
+        4, testProgram(device).schedule);
+    const std::vector<uint64_t> seeds = {1, 2, 3, 4};
+    const double caller0 = cpuSeconds(CLOCK_THREAD_CPUTIME_ID);
+    const double process0 = cpuSeconds(CLOCK_PROCESS_CPUTIME_ID);
+    machine.runBatch(std::span<const ScheduledCircuit>(jobs), 4000,
+                     seeds, /*threads=*/1);
+    const double caller = cpuSeconds(CLOCK_THREAD_CPUTIME_ID) - caller0;
+    const double others =
+        cpuSeconds(CLOCK_PROCESS_CPUTIME_ID) - process0 - caller;
+    EXPECT_LT(others, 0.1 * caller + 0.005)
+        << "caller " << caller << " s, other threads " << others
+        << " s";
 }
 
 TEST(ParallelMachine, AutoThreadsMatchesSerial)
