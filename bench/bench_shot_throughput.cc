@@ -30,11 +30,11 @@
  *  - the batch frame engine on a 50q/100q T1 characterization;
  *  - one-time job preparation (plan lowering + compilation), to show
  *    amortization across shots;
- *  - the apply1Q / applyPhase / populationOne kernels, which switch
- *    between the portable scalar and the explicit AVX2
- *    implementations per build (compare a default build against
- *    -DADAPT_NATIVE=ON for the scalar-vs-SIMD delta; the banner and
- *    the "simd" counter record which one this binary contains).
+ *  - the apply1Q / applyPhase / populationOne kernels, timed for
+ *    every kernel set the host can run (the portable scalar set
+ *    always, the AVX2 set when the CPU has it) from one binary; the
+ *    "simd" counter marks each row, and the banner names the set the
+ *    shot-throughput rows ran.
  *
  * Thread count is the benchmark argument; 0 means auto
  * (ADAPT_NUM_THREADS or hardware concurrency).
@@ -43,13 +43,16 @@
 #include "bench_common.hh"
 
 #include <chrono>
+#include <cmath>
 #include <cstring>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "common/parallel.hh"
 #include "dd/sequences.hh"
 #include "noise/machine.hh"
+#include "sim/dense_kernels.hh"
 #include "transpile/decompose.hh"
 #include "transpile/schedule.hh"
 #include "transpile/transpiler.hh"
@@ -146,11 +149,11 @@ decoyPauliMachine()
     return m;
 }
 
-/** 1.0 when this binary carries the AVX2 kernels, 0.0 for scalar. */
+/** 1.0 for the AVX2 kernel set, 0.0 for scalar. */
 double
-simdFlag()
+simdFlag(const dense::KernelSet &kernels)
 {
-    return std::strcmp(denseKernelIsa(), "avx2") == 0 ? 1.0 : 0.0;
+    return std::strcmp(kernels.isa, "avx2") == 0 ? 1.0 : 0.0;
 }
 
 void
@@ -169,7 +172,7 @@ runThroughput(benchmark::State &state, const NoisyMachine &m,
     state.counters["shots_per_sec"] = benchmark::Counter(
         static_cast<double>(state.iterations()) * shots,
         benchmark::Counter::kIsRate);
-    state.counters["simd"] = simdFlag();
+    state.counters["simd"] = simdFlag(dense::activeKernels());
 }
 
 void
@@ -260,45 +263,57 @@ BM_IdealDistribution(benchmark::State &state)
         benchmark::DoNotOptimize(idealDistribution(physical));
 }
 
+/** A 16-qubit register in the uniform superposition. */
+std::vector<Complex>
+uniformAmplitudes()
+{
+    constexpr size_t kDim = size_t{1} << 16;
+    return std::vector<Complex>(
+        kDim, Complex(1.0 / std::sqrt(static_cast<double>(kDim))));
+}
+
 /** Single-qubit kernel, stride-1 (q = 0) vs. strided (high qubit). */
 void
-BM_Apply1Q(benchmark::State &state)
+BM_Apply1Q(benchmark::State &state, const dense::KernelSet *kernels)
 {
     const auto q = static_cast<QubitId>(state.range(0));
-    StateVector sv(16);
+    std::vector<Complex> amps = uniformAmplitudes();
     const Matrix2 h = gateMatrix(GateType::H);
     for (auto _ : state) {
-        sv.apply1Q(h, q);
-        benchmark::DoNotOptimize(sv.amplitude(0));
+        kernels->apply1Q(amps.data(), amps.size(), h, q);
+        benchmark::DoNotOptimize(amps.data());
+        benchmark::ClobberMemory();
     }
-    state.counters["simd"] = simdFlag();
+    state.counters["simd"] = simdFlag(*kernels);
 }
 
 /** Diagonal idle-phase kernel. */
 void
-BM_ApplyPhase(benchmark::State &state)
+BM_ApplyPhase(benchmark::State &state, const dense::KernelSet *kernels)
 {
     const auto q = static_cast<QubitId>(state.range(0));
-    StateVector sv(16);
-    sv.apply1Q(gateMatrix(GateType::H), q);
+    std::vector<Complex> amps = uniformAmplitudes();
+    const Complex factor = std::exp(kImag * 1e-3);
     for (auto _ : state) {
-        sv.applyPhase(q, 1e-3);
-        benchmark::DoNotOptimize(sv.amplitude(0));
+        kernels->applyPhase(amps.data(), amps.size(), q, factor);
+        benchmark::DoNotOptimize(amps.data());
+        benchmark::ClobberMemory();
     }
-    state.counters["simd"] = simdFlag();
+    state.counters["simd"] = simdFlag(*kernels);
 }
 
 /** Marginal-population reduction (measure + T1 jump hot path). */
 void
-BM_PopulationOne(benchmark::State &state)
+BM_PopulationOne(benchmark::State &state,
+                 const dense::KernelSet *kernels)
 {
     const auto q = static_cast<QubitId>(state.range(0));
-    StateVector sv(16);
-    for (QubitId h = 0; h < 16; h++)
-        sv.apply1Q(gateMatrix(GateType::H), h);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(sv.populationOne(q));
-    state.counters["simd"] = simdFlag();
+    const std::vector<Complex> amps = uniformAmplitudes();
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(
+            kernels->populationOne(amps.data(), amps.size(), q));
+    }
+    state.counters["simd"] = simdFlag(*kernels);
 }
 
 void
@@ -342,13 +357,22 @@ registerBenchmarks()
     benchmark::RegisterBenchmark("BM_IdealDistribution",
                                  BM_IdealDistribution)
         ->Unit(benchmark::kMicrosecond);
-    for (auto *kernel :
-         {benchmark::RegisterBenchmark("BM_Apply1Q", BM_Apply1Q),
-          benchmark::RegisterBenchmark("BM_ApplyPhase",
-                                       BM_ApplyPhase),
-          benchmark::RegisterBenchmark("BM_PopulationOne",
-                                       BM_PopulationOne)}) {
-        kernel->Arg(0)->Arg(15)->Unit(benchmark::kMicrosecond);
+    for (const dense::KernelSet *kernels :
+         {&dense::scalarKernels(), dense::avx2Kernels()}) {
+        if (kernels == nullptr)
+            continue;
+        const std::string isa = kernels->isa;
+        for (auto *kernel :
+             {benchmark::RegisterBenchmark(
+                  ("BM_Apply1Q/" + isa).c_str(), BM_Apply1Q, kernels),
+              benchmark::RegisterBenchmark(
+                  ("BM_ApplyPhase/" + isa).c_str(), BM_ApplyPhase,
+                  kernels),
+              benchmark::RegisterBenchmark(
+                  ("BM_PopulationOne/" + isa).c_str(),
+                  BM_PopulationOne, kernels)}) {
+            kernel->Arg(0)->Arg(15)->Unit(benchmark::kMicrosecond);
+        }
     }
 }
 

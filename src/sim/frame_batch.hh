@@ -87,17 +87,15 @@
 namespace adapt
 {
 
-/** 64-lane words per frame block: 4 x 64 = 256 shots per pass, one
- *  AVX2 register wide under ADAPT_NATIVE; portable builds sweep the
- *  same block 64 bits at a time. */
+/** 64-lane words per frame block: 4 x 64 = 256 shots per pass,
+ *  swept 64 bits at a time. */
 constexpr int kFrameLaneWords = 4;
 
 /** Shots propagated per block. */
 constexpr int kFrameLanes = 64 * kFrameLaneWords;
 
-/** "avx2" when the frame-plane kernels use 256-bit ops, "scalar" for
- *  the portable 64-bit sweeps.  Both are bit-identical (pure XOR/swap
- *  word ops). */
+/** Instruction set of the frame-plane kernels: always "scalar", the
+ *  portable 64-bit word sweeps (kept for the benchmark records). */
 const char *frameKernelIsa();
 
 /**

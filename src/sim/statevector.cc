@@ -3,8 +3,13 @@
 #include <algorithm>
 #include <cmath>
 
-#if defined(__AVX2__)
+#include "sim/dense_kernels.hh"
+
+#if (defined(__x86_64__) || defined(__i386__)) && defined(__GNUC__)
+#define DENSE_HAVE_AVX2 1
 #include <immintrin.h>
+#else
+#define DENSE_HAVE_AVX2 0
 #endif
 
 #include "common/flat_accumulator.hh"
@@ -19,28 +24,6 @@ namespace
 /** Largest register the dense simulator will allocate (16 GiB). */
 constexpr int kMaxDenseQubits = 26;
 
-#if defined(__AVX2__)
-
-/**
- * Complex product of per-128-bit-lane scalars (re / im pre-splatted)
- * with a vector of two packed complex doubles [re0 im0 re1 im1].
- *
- * Performs exactly the operations of the scalar std::complex formula
- * — two products per component, one subtract for the real part, one
- * add for the imaginary part (via vaddsubpd) — with the same
- * roundings, and deliberately no FMA: results stay bit-identical to
- * the portable scalar kernels.
- */
-inline __m256d
-cmulLanes(__m256d s_re, __m256d s_im, __m256d v)
-{
-    const __m256d swapped = _mm256_permute_pd(v, 0b0101);
-    return _mm256_addsub_pd(_mm256_mul_pd(s_re, v),
-                            _mm256_mul_pd(s_im, swapped));
-}
-
-#endif // __AVX2__
-
 /**
  * Visit every basis index with @p bit set, in ascending order.
  *
@@ -53,17 +36,6 @@ inline void
 forEachSet(uint64_t dim, uint64_t bit, Fn &&fn)
 {
     for (uint64_t base = bit; base < dim; base += 2 * bit) {
-        for (uint64_t i = base; i < base + bit; i++)
-            fn(i);
-    }
-}
-
-/** Visit every basis index with @p bit clear, in ascending order. */
-template <typename Fn>
-inline void
-forEachClear(uint64_t dim, uint64_t bit, Fn &&fn)
-{
-    for (uint64_t base = 0; base < dim; base += 2 * bit) {
         for (uint64_t i = base; i < base + bit; i++)
             fn(i);
     }
@@ -103,46 +75,120 @@ forEachSetClear(uint64_t dim, uint64_t set_bit, uint64_t clear_bit,
     }
 }
 
-} // namespace
+// ------------------------------------------------------------------
+// Hot kernels.  The scalar and AVX2 bodies make the same products
+// and sums in the same order (no FMA on either side), so the two
+// sets are bit-identical and the choice between them is made once
+// per process at run time (see dense::activeKernels).
+// ------------------------------------------------------------------
 
-StateVector::StateVector(int num_qubits) : numQubits_(num_qubits)
+/**
+ * s * a with exactly the products and sums std::complex forms for
+ * finite operands, minus its NaN-recovery branch (an out-of-line
+ * call that keeps the loops from vectorizing).
+ */
+inline Complex
+cmul(Complex s, Complex a)
 {
-    require(num_qubits > 0, "StateVector requires at least one qubit");
-    require(num_qubits <= kMaxDenseQubits,
-            "dense simulation beyond " +
-            std::to_string(kMaxDenseQubits) +
-            " qubits; use the stabilizer simulator");
-    amps_.assign(size_t{1} << num_qubits, Complex{});
-    amps_[0] = 1.0;
+    return {s.real() * a.real() - s.imag() * a.imag(),
+            s.real() * a.imag() + s.imag() * a.real()};
 }
 
 void
-StateVector::reset()
+scalarApply1Q(Complex *amps, uint64_t dim, const Matrix2 &u, QubitId q)
 {
-    touch();
-    std::fill(amps_.begin(), amps_.end(), Complex{});
-    amps_[0] = 1.0;
-}
-
-void
-StateVector::setAmplitudes(const Complex *src, size_t count)
-{
-    require(count == amps_.size(),
-            "setAmplitudes count must match the register dimension");
-    touch();
-    std::copy(src, src + count, amps_.begin());
-}
-
-void
-StateVector::apply1Q(const Matrix2 &u, QubitId q)
-{
-    touch();
-    const uint64_t dim = amps_.size();
     const Complex u00 = u(0, 0), u01 = u(0, 1);
     const Complex u10 = u(1, 0), u11 = u(1, 1);
+    if (q == 0) {
+        // Stride-1 specialization: amplitude pairs are adjacent, so
+        // the whole state streams through in one sequential pass.
+        for (uint64_t i = 0; i < dim; i += 2) {
+            const Complex a0 = amps[i];
+            const Complex a1 = amps[i + 1];
+            amps[i] = cmul(u00, a0) + cmul(u01, a1);
+            amps[i + 1] = cmul(u10, a0) + cmul(u11, a1);
+        }
+        return;
+    }
+    const uint64_t stride = uint64_t{1} << q;
+    for (uint64_t base = 0; base < dim; base += 2 * stride) {
+        for (uint64_t i0 = base; i0 < base + stride; i0++) {
+            const uint64_t i1 = i0 + stride;
+            const Complex a0 = amps[i0];
+            const Complex a1 = amps[i1];
+            amps[i0] = cmul(u00, a0) + cmul(u01, a1);
+            amps[i1] = cmul(u10, a0) + cmul(u11, a1);
+        }
+    }
+}
 
-#if defined(__AVX2__)
-    auto *d = reinterpret_cast<double *>(amps_.data());
+void
+scalarApplyPhase(Complex *amps, uint64_t dim, QubitId q, Complex factor)
+{
+    forEachSet(dim, uint64_t{1} << q,
+               [&](uint64_t i) { amps[i] = cmul(factor, amps[i]); });
+}
+
+/**
+ * Four accumulators, as the AVX2 body's four vector lanes: re^2 and
+ * im^2 of the even and of the odd member of each aligned index pair
+ * (for q = 0 only odd indices are set, so the even pair stays 0),
+ * folded in a fixed order.
+ */
+double
+scalarPopulationOne(const Complex *amps, uint64_t dim, QubitId q)
+{
+    const uint64_t bit = uint64_t{1} << q;
+    double l0 = 0.0, l1 = 0.0, l2 = 0.0, l3 = 0.0;
+    if (bit == 1) {
+        for (uint64_t i = 1; i < dim; i += 2) {
+            l2 += amps[i].real() * amps[i].real();
+            l3 += amps[i].imag() * amps[i].imag();
+        }
+    } else {
+        for (uint64_t base = bit; base < dim; base += 2 * bit) {
+            for (uint64_t i = base; i < base + bit; i += 2) {
+                l0 += amps[i].real() * amps[i].real();
+                l1 += amps[i].imag() * amps[i].imag();
+                l2 += amps[i + 1].real() * amps[i + 1].real();
+                l3 += amps[i + 1].imag() * amps[i + 1].imag();
+            }
+        }
+    }
+    return ((l0 + l1) + l2) + l3;
+}
+
+const dense::KernelSet kScalarKernels{"scalar", scalarApply1Q,
+                                      scalarApplyPhase,
+                                      scalarPopulationOne};
+
+#if DENSE_HAVE_AVX2
+
+#define DENSE_AVX2 __attribute__((target("avx2")))
+
+/**
+ * Complex product of per-128-bit-lane scalars (re / im pre-splatted)
+ * with a vector of two packed complex doubles [re0 im0 re1 im1].
+ *
+ * Performs exactly the operations of cmul() — two products per
+ * component, one subtract for the real part, one add for the
+ * imaginary part (via vaddsubpd) — with the same roundings, and
+ * deliberately no FMA.
+ */
+DENSE_AVX2 inline __m256d
+cmulLanes(__m256d s_re, __m256d s_im, __m256d v)
+{
+    const __m256d swapped = _mm256_permute_pd(v, 0b0101);
+    return _mm256_addsub_pd(_mm256_mul_pd(s_re, v),
+                            _mm256_mul_pd(s_im, swapped));
+}
+
+DENSE_AVX2 void
+avx2Apply1Q(Complex *amps, uint64_t dim, const Matrix2 &u, QubitId q)
+{
+    const Complex u00 = u(0, 0), u01 = u(0, 1);
+    const Complex u10 = u(1, 0), u11 = u(1, 1);
+    auto *d = reinterpret_cast<double *>(amps);
     if (q == 0) {
         // Stride-1: one 256-bit vector holds an adjacent (a0, a1)
         // pair; the low lane produces u00*a0 + u01*a1 and the high
@@ -194,41 +240,12 @@ StateVector::apply1Q(const Matrix2 &u, QubitId q)
             _mm256_storeu_pd(d + 2 * i1, rb);
         }
     }
-#else
-    if (q == 0) {
-        // Stride-1 specialization: amplitude pairs are adjacent, so
-        // the whole state streams through in one sequential pass.
-        for (uint64_t i = 0; i < dim; i += 2) {
-            const Complex a0 = amps_[i];
-            const Complex a1 = amps_[i + 1];
-            amps_[i] = u00 * a0 + u01 * a1;
-            amps_[i + 1] = u10 * a0 + u11 * a1;
-        }
-        return;
-    }
-
-    const uint64_t stride = uint64_t{1} << q;
-    for (uint64_t base = 0; base < dim; base += 2 * stride) {
-        for (uint64_t offset = 0; offset < stride; offset++) {
-            const uint64_t i0 = base + offset;
-            const uint64_t i1 = i0 + stride;
-            const Complex a0 = amps_[i0];
-            const Complex a1 = amps_[i1];
-            amps_[i0] = u00 * a0 + u01 * a1;
-            amps_[i1] = u10 * a0 + u11 * a1;
-        }
-    }
-#endif
 }
 
-void
-StateVector::applyPhase(QubitId q, double phi)
+DENSE_AVX2 void
+avx2ApplyPhase(Complex *amps, uint64_t dim, QubitId q, Complex factor)
 {
-    touch();
-    const Complex factor = std::exp(kImag * phi);
-#if defined(__AVX2__)
-    auto *d = reinterpret_cast<double *>(amps_.data());
-    const uint64_t dim = amps_.size();
+    auto *d = reinterpret_cast<double *>(amps);
     const uint64_t bit = uint64_t{1} << q;
     const __m256d fre = _mm256_set1_pd(factor.real());
     const __m256d fim = _mm256_set1_pd(factor.imag());
@@ -249,22 +266,138 @@ StateVector::applyPhase(QubitId q, double phi)
             _mm256_storeu_pd(d + 2 * i, cmulLanes(fre, fim, v));
         }
     }
+}
+
+DENSE_AVX2 double
+avx2PopulationOne(const Complex *amps, uint64_t dim, QubitId q)
+{
+    const auto *d = reinterpret_cast<const double *>(amps);
+    const uint64_t bit = uint64_t{1} << q;
+    __m256d acc = _mm256_setzero_pd();
+    if (bit == 1) {
+        const __m256d zero = _mm256_setzero_pd();
+        for (uint64_t i = 0; i < dim; i += 2) {
+            const __m256d v = _mm256_loadu_pd(d + 2 * i);
+            const __m256d sq = _mm256_mul_pd(v, v);
+            acc = _mm256_add_pd(acc,
+                                _mm256_blend_pd(zero, sq, 0b1100));
+        }
+    } else {
+        for (uint64_t base = bit; base < dim; base += 2 * bit) {
+            for (uint64_t i = base; i < base + bit; i += 2) {
+                const __m256d v = _mm256_loadu_pd(d + 2 * i);
+                acc = _mm256_add_pd(acc, _mm256_mul_pd(v, v));
+            }
+        }
+    }
+    alignas(32) double lanes[4];
+    _mm256_store_pd(lanes, acc);
+    return ((lanes[0] + lanes[1]) + lanes[2]) + lanes[3];
+}
+
+#undef DENSE_AVX2
+
+const dense::KernelSet kAvx2Kernels{"avx2", avx2Apply1Q,
+                                    avx2ApplyPhase, avx2PopulationOne};
+
+#endif // DENSE_HAVE_AVX2
+
+} // namespace
+
+namespace dense
+{
+
+const KernelSet &
+scalarKernels()
+{
+    return kScalarKernels;
+}
+
+const KernelSet *
+avx2Kernels()
+{
+#if DENSE_HAVE_AVX2
+    static const bool supported = [] {
+        __builtin_cpu_init();
+        return __builtin_cpu_supports("avx2") != 0;
+    }();
+    return supported ? &kAvx2Kernels : nullptr;
 #else
-    forEachSet(amps_.size(), uint64_t{1} << q,
-               [&](uint64_t i) { amps_[i] *= factor; });
+    return nullptr;
 #endif
+}
+
+const KernelSet &
+activeKernels()
+{
+    static const KernelSet &chosen =
+        avx2Kernels() != nullptr ? *avx2Kernels() : scalarKernels();
+    return chosen;
+}
+
+} // namespace dense
+
+StateVector::StateVector(int num_qubits) : numQubits_(num_qubits)
+{
+    require(num_qubits > 0, "StateVector requires at least one qubit");
+    require(num_qubits <= kMaxDenseQubits,
+            "dense simulation beyond " +
+            std::to_string(kMaxDenseQubits) +
+            " qubits; use the stabilizer simulator");
+    amps_.assign(size_t{1} << num_qubits, Complex{});
+    amps_[0] = 1.0;
+}
+
+void
+StateVector::reset()
+{
+    touch();
+    std::fill(amps_.begin(), amps_.end(), Complex{});
+    amps_[0] = 1.0;
+}
+
+void
+StateVector::setAmplitudes(const Complex *src, size_t count)
+{
+    require(count == amps_.size(),
+            "setAmplitudes count must match the register dimension");
+    touch();
+    std::copy(src, src + count, amps_.begin());
+}
+
+void
+StateVector::apply1Q(const Matrix2 &u, QubitId q)
+{
+    touch();
+    dense::activeKernels().apply1Q(amps_.data(), amps_.size(), u, q);
+}
+
+void
+StateVector::applyPhase(QubitId q, double phi)
+{
+    touch();
+    dense::activeKernels().applyPhase(amps_.data(), amps_.size(), q,
+                                      std::exp(kImag * phi));
 }
 
 void
 StateVector::applyDecayJump(QubitId q)
 {
     touch();
+    const uint64_t dim = amps_.size();
     const uint64_t bit = uint64_t{1} << q;
-    forEachSet(amps_.size(), bit, [&](uint64_t i) {
-        amps_[i & ~bit] = amps_[i];
-        amps_[i] = 0.0;
-    });
-    normalize();
+    // Move each |1>_q amplitude onto its |0>_q partner and sum the
+    // moved weights in ascending index order: exactly the additions
+    // norm() makes on the result, whose |1>_q half is all zeros.
+    double sum = 0.0;
+    for (uint64_t base = 0; base < dim; base += 2 * bit) {
+        for (uint64_t i = base; i < base + bit; i++) {
+            amps_[i] = amps_[i + bit];
+            amps_[i + bit] = 0.0;
+            sum += std::norm(amps_[i]);
+        }
+    }
+    rescaleHalf(bit, 0, sum);
 }
 
 void
@@ -386,37 +519,8 @@ StateVector::probabilities() const
 double
 StateVector::populationOne(QubitId q) const
 {
-#if defined(__AVX2__)
-    const auto *d = reinterpret_cast<const double *>(amps_.data());
-    const uint64_t dim = amps_.size();
-    const uint64_t bit = uint64_t{1} << q;
-    __m256d acc = _mm256_setzero_pd();
-    if (bit == 1) {
-        const __m256d zero = _mm256_setzero_pd();
-        for (uint64_t i = 0; i < dim; i += 2) {
-            const __m256d v = _mm256_loadu_pd(d + 2 * i);
-            const __m256d sq = _mm256_mul_pd(v, v);
-            acc = _mm256_add_pd(acc,
-                                _mm256_blend_pd(zero, sq, 0b1100));
-        }
-    } else {
-        for (uint64_t base = bit; base < dim; base += 2 * bit) {
-            for (uint64_t i = base; i < base + bit; i += 2) {
-                const __m256d v = _mm256_loadu_pd(d + 2 * i);
-                acc = _mm256_add_pd(acc, _mm256_mul_pd(v, v));
-            }
-        }
-    }
-    alignas(32) double lanes[4];
-    _mm256_store_pd(lanes, acc);
-    // Fixed lane-fold order keeps the reduction deterministic.
-    return ((lanes[0] + lanes[1]) + lanes[2]) + lanes[3];
-#else
-    double p = 0.0;
-    forEachSet(amps_.size(), uint64_t{1} << q,
-               [&](uint64_t i) { p += std::norm(amps_[i]); });
-    return p;
-#endif
+    return dense::activeKernels().populationOne(amps_.data(),
+                                                amps_.size(), q);
 }
 
 void
@@ -460,14 +564,32 @@ bool
 StateVector::collapseTo(QubitId q, bool outcome)
 {
     touch();
+    const uint64_t dim = amps_.size();
     const uint64_t bit = uint64_t{1} << q;
-    auto zero = [&](uint64_t i) { amps_[i] = 0.0; };
-    if (outcome)
-        forEachClear(amps_.size(), bit, zero);
-    else
-        forEachSet(amps_.size(), bit, zero);
-    normalize();
+    const uint64_t keep = outcome ? bit : 0;
+    // One pass zeroes the dropped branch and sums the kept one in
+    // ascending index order: exactly the additions norm() makes on
+    // the collapsed state, since each zero adds exactly 0.0.
+    double sum = 0.0;
+    for (uint64_t base = 0; base < dim; base += 2 * bit) {
+        std::fill_n(&amps_[base + bit - keep], bit, Complex{});
+        for (uint64_t i = base + keep; i < base + keep + bit; i++)
+            sum += std::norm(amps_[i]);
+    }
+    rescaleHalf(bit, keep, sum);
     return outcome;
+}
+
+void
+StateVector::rescaleHalf(uint64_t bit, uint64_t keep, double sum)
+{
+    const double n = std::sqrt(sum);
+    require(n > 1e-300, "cannot normalize a zero state");
+    const double inv = 1.0 / n;
+    for (uint64_t base = keep; base < amps_.size(); base += 2 * bit) {
+        for (uint64_t i = base; i < base + bit; i++)
+            amps_[i] *= inv;
+    }
 }
 
 bool
@@ -493,20 +615,16 @@ StateVector::applyAmplitudeDamping(QubitId q, double gamma, Rng &rng)
         return;
     const double p1 = populationOne(q);
     const double p_decay = gamma * p1;
-    touch();
-    const uint64_t bit = uint64_t{1} << q;
     if (rng.bernoulli(p_decay)) {
         // K1 branch: |1> component collapses to |0>.
-        forEachSet(amps_.size(), bit, [&](uint64_t i) {
-            amps_[i & ~bit] = amps_[i];
-            amps_[i] = 0.0;
-        });
-    } else {
-        // K0 branch: |1> component shrinks by sqrt(1 - gamma).
-        const double scale = std::sqrt(1.0 - gamma);
-        forEachSet(amps_.size(), bit,
-                   [&](uint64_t i) { amps_[i] *= scale; });
+        applyDecayJump(q);
+        return;
     }
+    // K0 branch: |1> component shrinks by sqrt(1 - gamma).
+    touch();
+    const double scale = std::sqrt(1.0 - gamma);
+    forEachSet(amps_.size(), uint64_t{1} << q,
+               [&](uint64_t i) { amps_[i] *= scale; });
     normalize();
 }
 
@@ -533,11 +651,7 @@ StateVector::normalize()
 const char *
 denseKernelIsa()
 {
-#if defined(__AVX2__)
-    return "avx2";
-#else
-    return "scalar";
-#endif
+    return dense::activeKernels().isa;
 }
 
 Circuit

@@ -142,6 +142,13 @@ class StateVector
      *  (shared tail of the two measureCollapse overloads). */
     bool collapseTo(QubitId q, bool outcome);
 
+    /**
+     * normalize() for a state whose only nonzero amplitudes have the
+     * @p bit bit equal to @p keep (0 or bit), given @p sum = the
+     * squared norm in norm()'s summation order: rescales that half.
+     */
+    void rescaleHalf(uint64_t bit, uint64_t keep, double sum);
+
     void buildSampleCache() const;
 
     int numQubits_;
@@ -155,12 +162,10 @@ class StateVector
 };
 
 /**
- * Instruction set of the dense hot kernels compiled into this binary:
- * "avx2" when the explicit AVX2 apply1Q / phase / population kernels
- * are active (build with -DADAPT_NATIVE=ON on an AVX2 host), "scalar"
- * for the portable fallback.  Within one binary both the compiled and
- * the interpreted execution paths share the same kernels, so outputs
- * are bit-identical between them either way.
+ * Instruction set of the dense hot kernels this process runs: "avx2"
+ * when the CPU supports AVX2 (chosen once at run time on every x86-64
+ * build), "scalar" otherwise.  Both kernel sets are bit-identical, so
+ * this never changes an output.
  */
 const char *denseKernelIsa();
 

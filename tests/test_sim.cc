@@ -8,11 +8,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <initializer_list>
 #include <limits>
 #include <utility>
+#include <vector>
 
 #include "common/logging.hh"
+#include "sim/dense_kernels.hh"
 #include "sim/stabilizer.hh"
 #include "sim/statevector.hh"
 #include "test_util.hh"
@@ -170,6 +173,161 @@ TEST(StateVec, DecayJumpResetsQubit)
 TEST(StateVec, RejectsOversizedRegisters)
 {
     EXPECT_THROW(StateVector(40), UsageError);
+}
+
+// ---------------------------------------------------------- dense kernels
+
+namespace
+{
+
+/** Register sizes the kernel checks sweep: both AVX2 branch shapes
+ *  (q = 0 and strided) and the 1-qubit edge. */
+constexpr int kKernelSizes[] = {1, 2, 3, 5, 8};
+
+std::vector<Complex>
+randomAmplitudes(int n, Rng &rng)
+{
+    std::vector<Complex> amps(size_t{1} << n);
+    for (Complex &a : amps)
+        a = Complex(rng.normal(), rng.normal());
+    return amps;
+}
+
+Matrix2
+randomUnitary(Rng &rng)
+{
+    return gateMatrix(GateType::RZ, {rng.uniform(-kPi, kPi)}) *
+           gateMatrix(GateType::RY, {rng.uniform(-kPi, kPi)}) *
+           gateMatrix(GateType::RZ, {rng.uniform(-kPi, kPi)}) *
+           std::polar(1.0, rng.uniform(-kPi, kPi));
+}
+
+bool
+sameBits(const std::vector<Complex> &a, const std::vector<Complex> &b)
+{
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(Complex)) ==
+               0;
+}
+
+/** A normalized random StateVector (and its amplitudes). */
+StateVector
+randomState(int n, Rng &rng)
+{
+    const std::vector<Complex> amps = randomAmplitudes(n, rng);
+    StateVector s(n);
+    s.setAmplitudes(amps.data(), amps.size());
+    s.normalize();
+    return s;
+}
+
+std::vector<Complex>
+amplitudesOf(const StateVector &s)
+{
+    return {s.data(), s.data() + s.dim()};
+}
+
+/** normalize() of @p amps, the unfused reference tail. */
+std::vector<Complex>
+normalized(int n, const std::vector<Complex> &amps)
+{
+    StateVector ref(n);
+    ref.setAmplitudes(amps.data(), amps.size());
+    ref.normalize();
+    return amplitudesOf(ref);
+}
+
+} // namespace
+
+TEST(DenseKernels, ActiveSetIsAvx2WhenTheCpuHasIt)
+{
+    const dense::KernelSet *avx2 = dense::avx2Kernels();
+    EXPECT_EQ(&dense::activeKernels(),
+              avx2 != nullptr ? avx2 : &dense::scalarKernels());
+    EXPECT_STREQ(denseKernelIsa(), dense::activeKernels().isa);
+}
+
+TEST(DenseKernels, ScalarAndAvx2AreBitIdentical)
+{
+    const dense::KernelSet *avx2 = dense::avx2Kernels();
+    if (avx2 == nullptr)
+        GTEST_SKIP() << "no AVX2 kernels on this CPU";
+    const dense::KernelSet &scalar = dense::scalarKernels();
+    Rng rng(11);
+    for (const int n : kKernelSizes) {
+        const uint64_t dim = uint64_t{1} << n;
+        for (QubitId q = 0; q < n; q++) {
+            for (int trial = 0; trial < 4; trial++) {
+                const std::vector<Complex> start =
+                    randomAmplitudes(n, rng);
+                const Matrix2 u = randomUnitary(rng);
+                const Complex factor =
+                    std::exp(kImag * rng.uniform(-kPi, kPi));
+
+                std::vector<Complex> a = start, b = start;
+                scalar.apply1Q(a.data(), dim, u, q);
+                avx2->apply1Q(b.data(), dim, u, q);
+                EXPECT_TRUE(sameBits(a, b))
+                    << "apply1Q n=" << n << " q=" << q;
+
+                scalar.applyPhase(a.data(), dim, q, factor);
+                avx2->applyPhase(b.data(), dim, q, factor);
+                EXPECT_TRUE(sameBits(a, b))
+                    << "applyPhase n=" << n << " q=" << q;
+
+                const double pa = scalar.populationOne(a.data(), dim, q);
+                const double pb = avx2->populationOne(a.data(), dim, q);
+                EXPECT_EQ(std::memcmp(&pa, &pb, sizeof pa), 0)
+                    << "populationOne n=" << n << " q=" << q;
+            }
+        }
+    }
+}
+
+TEST(StateVec, FusedCollapseMatchesZeroThenNormalize)
+{
+    Rng rng(12);
+    for (const int n : kKernelSizes) {
+        for (QubitId q = 0; q < n; q++) {
+            for (const bool outcome : {false, true}) {
+                StateVector s = randomState(n, rng);
+                std::vector<Complex> ref = amplitudesOf(s);
+                const uint64_t bit = uint64_t{1} << q;
+                for (uint64_t i = 0; i < ref.size(); i++) {
+                    if (((i & bit) != 0) != outcome)
+                        ref[i] = 0.0;
+                }
+                // A draw below every p1 forces outcome 1, above every
+                // p1 outcome 0.
+                EXPECT_EQ(s.measureCollapse(q, outcome ? -1.0 : 2.0),
+                          outcome);
+                EXPECT_TRUE(sameBits(amplitudesOf(s), normalized(n, ref)))
+                    << "collapse n=" << n << " q=" << q
+                    << " outcome=" << outcome;
+            }
+        }
+    }
+}
+
+TEST(StateVec, FusedDecayJumpMatchesMoveThenNormalize)
+{
+    Rng rng(13);
+    for (const int n : kKernelSizes) {
+        for (QubitId q = 0; q < n; q++) {
+            StateVector s = randomState(n, rng);
+            std::vector<Complex> ref = amplitudesOf(s);
+            const uint64_t bit = uint64_t{1} << q;
+            for (uint64_t i = 0; i < ref.size(); i++) {
+                if ((i & bit) != 0) {
+                    ref[i & ~bit] = ref[i];
+                    ref[i] = 0.0;
+                }
+            }
+            s.applyDecayJump(q);
+            EXPECT_TRUE(sameBits(amplitudesOf(s), normalized(n, ref)))
+                << "decay jump n=" << n << " q=" << q;
+        }
+    }
 }
 
 // ------------------------------------------------------ idealDistribution
