@@ -15,6 +15,7 @@
 #define ADAPT_COMMON_FLAT_ACCUMULATOR_HH
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -65,16 +66,20 @@ class FlatAccumulator
 
     /**
      * Append all (key, weight) pairs to @p out in table order
-     * (unsorted).  Lets a caller merging many accumulators gather
-     * everything first and sort the combined list once, instead of
-     * paying one sort per accumulator via sortedItems().
+     * (unsorted), each weight rounded to an integer count — for
+     * accumulators that count samples.  Lets a caller merging many
+     * accumulators gather everything first and sort the combined list
+     * once, instead of paying one sort per accumulator via
+     * sortedItems().
      */
     void
-    appendItemsTo(std::vector<std::pair<uint64_t, double>> &out) const
+    appendCountsTo(std::vector<std::pair<uint64_t, uint64_t>> &out) const
     {
         for (const Slot &slot : slots_) {
-            if (slot.used)
-                out.emplace_back(slot.key, slot.value);
+            if (slot.used) {
+                out.emplace_back(slot.key, static_cast<uint64_t>(
+                                               std::llround(slot.value)));
+            }
         }
     }
 

@@ -1837,12 +1837,12 @@ laneUniformInt(uint64_t *words, size_t stride, int l, uint64_t n)
 
 BatchShotReplayer::BatchShotReplayer(const ExecutionPlan &plan,
                                      const ShotProgram &prog)
-    : scalar_(plan, prog), tapes_(kBatchLanes),
+    : scalar_(plan, prog), tapes_(kShotBlock),
       laneAmps_(uint64_t{1} << prog.numQubits),
       drawBatched_(!prog.flags.ouDephasing),
-      gateWords_(drawBatched_ ? size_t{4} * kBatchLanes : 0),
+      gateWords_(drawBatched_ ? size_t{4} * kShotBlock : 0),
       qubitWords_(drawBatched_
-                      ? size_t{4} * kBatchLanes *
+                      ? size_t{4} * kShotBlock *
                             static_cast<size_t>(prog.numQubits)
                       : 0)
 {
@@ -1922,7 +1922,7 @@ BatchShotReplayer::drawBlockTapes(const Rng &base, int64_t first_shot,
     // programs that sample them construct with drawBatched_ false.
     const ShotProgram &prog = scalar_.prog_;
     const NoiseFlags &flags = prog.flags;
-    constexpr size_t kL = kBatchLanes;
+    constexpr size_t kL = kShotBlock;
     const auto n = static_cast<size_t>(prog.numQubits);
 
     uint64_t st[4];
@@ -1945,7 +1945,7 @@ BatchShotReplayer::drawBlockTapes(const Rng &base, int64_t first_shot,
         tape.events.clear();
     }
 
-    uint64_t words[kBatchLanes];
+    uint64_t words[kShotBlock];
     uint64_t *gs = gateWords_.data();
     const auto sweep = [&](uint64_t *s) {
         Rng::stepLanes(s, s + kL, s + 2 * kL, s + 3 * kL, words,
@@ -2256,8 +2256,8 @@ BatchShotReplayer::runSubBlock(const Rng &base, int64_t first_shot,
     // each group's representative (<= 64 members per block keeps the
     // quadratic comparison trivial; tapes of one group share every
     // event, so comparing against the representative suffices).
-    int groupOf[kBatchLanes];
-    int repOf[kBatchLanes];
+    int groupOf[kShotBlock];
+    int repOf[kShotBlock];
     int num_groups = 0;
     for (int s = 0; s < count; s++) {
         int g = -1;
@@ -2277,7 +2277,7 @@ BatchShotReplayer::runSubBlock(const Rng &base, int64_t first_shot,
     stats_.groups += num_groups;
 
     const uint64_t dim = uint64_t{1} << prog.numQubits;
-    int lanes[kBatchLanes];
+    int lanes[kShotBlock];
     for (int k = 0; k < num_groups; k++) {
         int group_size = 0;
         for (int s = 0; s < count; s++) {
@@ -2357,7 +2357,7 @@ BatchShotReplayer::runBlock(const Rng &base, int64_t first_shot,
         if (token != nullptr && token->stopRequested())
             break;
         const int n = static_cast<int>(
-            std::min<int64_t>(kBatchLanes, count - done));
+            std::min<int64_t>(kShotBlock, count - done));
         runSubBlock(base, first_shot + done, n, hist);
         done += n;
     }

@@ -643,6 +643,19 @@ struct ShotTape
     std::vector<ShotEvent> events;
 };
 
+/**
+ * Shots per block on the dense / per-shot paths: the granularity at
+ * which wave-structured cancellable runs commit work and shard ranges
+ * split (the batch frame engine's natural block is kFrameLanes
+ * instead).  This is also the grouped dense replay's batching
+ * window: a block's shots draw their tapes together and shots with
+ * identical error patterns share one prefix execution.
+ * Per-shot RNG streams make any block size prefix-exact; this one
+ * just bounds how much work a multi-chunk run can lose to a stop
+ * request.
+ */
+constexpr int kShotBlock = 64;
+
 /** Occupancy counters of the grouped dense path (BatchShotReplayer),
  *  reported per run through RunOutcome::denseStats. */
 struct DenseBatchStats
@@ -772,9 +785,6 @@ class BatchShotReplayer
     /** Widest register that takes the grouped path. */
     static constexpr int kMaxBatchQubits = 12;
 
-    /** Lanes per draw block (matches the engine's kShotBlock). */
-    static constexpr int kBatchLanes = 64;
-
     /** True when @p prog takes the grouped path: a small register
      *  (larger ones have per-op sweeps wide enough to amortize
      *  dispatch already) with no per-shot dynamic phases (OU
@@ -846,7 +856,7 @@ class BatchShotReplayer
     uint64_t replayShotFromRef(const ShotTape &tape);
 
     ShotReplayer scalar_;
-    std::vector<ShotTape> tapes_;  //!< kBatchLanes reusable tapes
+    std::vector<ShotTape> tapes_;  //!< kShotBlock reusable tapes
     std::vector<Complex> laneAmps_;     //!< shared-prefix snapshot
     bool drawBatched_;  //!< SoA draw pass valid (no OU Gaussians)
     std::vector<uint64_t> gateWords_;   //!< [word][lane] gate stream

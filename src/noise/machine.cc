@@ -1,15 +1,11 @@
 #include "noise/machine.hh"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <optional>
 #include <utility>
 #include <vector>
 
-#include "common/env.hh"
 #include "common/flat_accumulator.hh"
 #include "common/logging.hh"
 #include "common/parallel.hh"
@@ -300,35 +296,6 @@ resolveBackend(BackendKind requested, const ExecutionPlan &plan,
 }
 
 /**
- * Process-wide kill switch for the batched Pauli-frame engine:
- * ADAPT_FRAME_BATCH=0 (or "off") pins stabilizer jobs to the
- * per-shot tableau even under ExecMode::Compiled.  Read once, like
- * ADAPT_NUM_THREADS.
- */
-bool
-frameBatchEnabled()
-{
-    static const bool enabled =
-        envFlag("ADAPT_FRAME_BATCH", /*fallback=*/true);
-    return enabled;
-}
-
-/**
- * True when a stabilizer job can be lowered onto the batch frame
- * engine: everything the resolved-stabilizer precondition already
- * guarantees, minus per-shot OU twirl draws (whose phase — and hence
- * Z probability — differs per shot) and minus conditional non-Pauli
- * pulses (whose frame action is data-dependent).  Ineligible jobs
- * keep the per-shot tableau backend.
- */
-bool
-frameEligible(const ExecutionPlan &plan, const NoiseFlags &flags)
-{
-    return !flags.ouDephasing && !plan.condNonPauli &&
-           frameBatchEnabled();
-}
-
-/**
  * The structure phase of prepare(): everything device-independent —
  * plan lowering, backend resolution, dense splice tables or the frame
  * engine's reference-tableau walk.  A skeleton is a pure function of
@@ -347,7 +314,12 @@ buildProgramSkeleton(const ScheduledCircuit &sched,
         if (skel.kind == BackendKind::Dense) {
             skel.tables = buildShotTables(skel.plan);
             skel.compiled = true;
-        } else if (frameEligible(skel.plan, flags)) {
+        } else if (!flags.ouDephasing && !skel.plan.condNonPauli) {
+            // A stabilizer job lowers onto the batch frame engine
+            // unless it draws per-shot OU twirls (whose Z probability
+            // differs per shot) or has conditional non-Pauli pulses
+            // (whose frame action is data-dependent); those keep the
+            // per-shot tableau.
             skel.frame = buildFrameSkeleton(skel.plan, flags);
             skel.compiled = true;
         }
@@ -355,36 +327,215 @@ buildProgramSkeleton(const ScheduledCircuit &sched,
     return skel;
 }
 
-/**
- * Merge per-chunk histograms into the output distribution: gather
- * every chunk's raw items, sort the combined list once, and fold
- * duplicate keys before they reach the Distribution map — instead of
- * sorting each chunk's items separately and re-looking-up shared
- * keys.  Integer counts add exactly, so the result is identical for
- * any chunk count.
- */
-Distribution
-mergeChunkHistograms(const std::vector<FlatAccumulator> &histograms)
+/** The engine a prepared job's shots run on under an ExecMode. */
+enum class ExecPath
 {
-    size_t total = 0;
-    for (const FlatAccumulator &hist : histograms)
-        total += hist.size();
-    std::vector<std::pair<uint64_t, double>> items;
-    items.reserve(total);
-    for (const FlatAccumulator &hist : histograms)
-        hist.appendItemsTo(items);
-    std::sort(items.begin(), items.end());
+    Frame,       //!< batch Pauli-frame engine (FrameBatchBackend)
+    Grouped,     //!< signature-grouped dense replay (BatchShotReplayer)
+    Replay,      //!< per-shot compiled dense replay (ShotReplayer)
+    Interpreted, //!< per-shot plan walk on a SimBackend
+};
 
-    Distribution dist;
+/** The one place a job's engine is chosen: compiled jobs run what
+ *  prepare() compiled them into, everything else walks the plan. */
+ExecPath
+execPath(const PreparedJob &job, ExecMode mode)
+{
+    if (mode == ExecMode::Compiled) {
+        if (job.frame)
+            return ExecPath::Frame;
+        if (job.program) {
+            return BatchShotReplayer::eligible(*job.program)
+                       ? ExecPath::Grouped
+                       : ExecPath::Replay;
+        }
+    }
+    return ExecPath::Interpreted;
+}
+
+/** Shots per unit: one kFrameLanes plane pass on the frame path, one
+ *  shot elsewhere. */
+int64_t
+unitShots(ExecPath path)
+{
+    return path == ExecPath::Frame ? kFrameLanes : 1;
+}
+
+/** Units per block, the granularity at which cancellable waves commit
+ *  and shard ranges split: kFrameLanes or kShotBlock shots. */
+int64_t
+blockUnits(ExecPath path)
+{
+    return path == ExecPath::Frame ? 1 : kShotBlock;
+}
+
+/** Shots covered by units [0, units) of a @p shots-shot job. */
+int64_t
+shotsIn(ExecPath path, int64_t units, int shots)
+{
+    return std::min<int64_t>(units * unitShots(path),
+                             static_cast<int64_t>(shots));
+}
+
+/**
+ * One chunk's executor: runs ranges of units of a prepared job into a
+ * histogram.  Unit u's randomness is forked from (base, absolute
+ * block or shot index) alone — frame drains use streams keyed by the
+ * absolute shot — so any partition of a job's units into calls,
+ * across chunks, waves, shard ranges or processes, counts the same
+ * outcomes.  It makes its engine on first use and, on the frame path,
+ * finishes every lane that left the plane pass before run() returns.
+ * runPartial drives one per chunk, runShardRange one per range.
+ */
+class ChunkExecutor
+{
+  public:
+    ChunkExecutor(const PreparedJob &job, ExecPath path,
+                  const Calibration &cal, const NoiseFlags &flags,
+                  const Rng &base, int shots)
+        : job_(job), path_(path), cal_(cal), flags_(flags),
+          base_(base), shots_(shots)
+    {
+    }
+
+    /**
+     * Run units [lo, hi) into @p hist and return the units done.  A
+     * non-null @p token is polled per shot (per draw block on the
+     * grouped path) and stops the range at an exact prefix; frame
+     * blocks are never cut, so the frame path ignores it.
+     */
+    int64_t
+    run(int64_t lo, int64_t hi, FlatAccumulator &hist,
+        const CancellationToken *token)
+    {
+        switch (path_) {
+          case ExecPath::Frame:
+            runFrame(lo, hi, hist);
+            return hi - lo;
+          case ExecPath::Grouped:
+            if (!batch_) {
+                batch_ = std::make_unique<BatchShotReplayer>(
+                    job_.plan, *job_.program);
+            }
+            return batch_->runBlock(base_, lo, hi - lo, hist, token);
+          case ExecPath::Replay:
+            if (!replayer_) {
+                replayer_ = std::make_unique<ShotReplayer>(
+                    job_.plan, *job_.program);
+            }
+            return replayer_->runBlock(base_, lo, hi - lo, hist,
+                                       token);
+          case ExecPath::Interpreted:
+            return runInterpreted(lo, hi, hist, token);
+        }
+        panic("unreachable execution path");
+    }
+
+    /** Fold this executor's engine counters into @p out. */
+    void
+    mergeStatsInto(RunOutcome &out) const
+    {
+        out.frameStats.merge(frameStats_);
+        if (batch_)
+            out.denseStats.merge(batch_->stats());
+    }
+
+  private:
+    int64_t
+    runInterpreted(int64_t lo, int64_t hi, FlatAccumulator &hist,
+                   const CancellationToken *token)
+    {
+        if (!state_) {
+            state_ = makeBackend(
+                job_.kind, static_cast<int>(job_.plan.active.size()));
+            packer_ =
+                std::make_unique<OutcomePacker>(job_.plan.maxClbit + 1);
+        }
+        for (int64_t shot = lo; shot < hi; shot++) {
+            if (token != nullptr && token->stopRequested())
+                return shot - lo;
+            const Rng shot_rng =
+                base_.fork(static_cast<uint64_t>(shot) + 1);
+            hist.add(runShot(job_.plan, cal_, flags_, *state_, *packer_,
+                             shot_rng),
+                     1.0);
+        }
+        return hi - lo;
+    }
+
+    void
+    runFrame(int64_t lo, int64_t hi, FlatAccumulator &hist)
+    {
+        const FrameProgram &prog = *job_.frame;
+        if (!frame_)
+            frame_ = std::make_unique<FrameBatchBackend>(prog);
+        for (int64_t block = lo; block < hi; block++) {
+            const auto lanes = static_cast<int>(std::min<int64_t>(
+                kFrameLanes,
+                static_cast<int64_t>(shots_) - block * kFrameLanes));
+            frame_->runBlock(base_, block, lanes, hist, deferred_,
+                             tails_);
+        }
+        if (deferred_.empty() && tails_.empty())
+            return;
+        // Lanes whose T1 jump fired on a reference-superposed qubit
+        // finish off the plane pass: via compiled branch tails when
+        // enabled, else via exact per-shot tableau reruns of the same
+        // op stream.
+        if (!scratch_) {
+            scratch_ = std::make_unique<StabilizerState>(prog.numQubits);
+            packer_ = std::make_unique<OutcomePacker>(prog.numClbits);
+        }
+        if (!deferred_.empty()) {
+            frameStats_.deferredShots +=
+                static_cast<int64_t>(deferred_.size());
+            drainDeferredShots(prog, base_, deferred_, *scratch_,
+                               *packer_, hist);
+        }
+        if (!tails_.empty()) {
+            drainTailShots(prog, base_, tails_, *job_.tails, *scratch_,
+                           *packer_, hist, frameStats_);
+        }
+    }
+
+    const PreparedJob &job_;
+    const ExecPath path_;
+    const Calibration &cal_;
+    const NoiseFlags &flags_;
+    const Rng base_;
+    const int shots_;
+
+    std::unique_ptr<FrameBatchBackend> frame_;
+    std::unique_ptr<BatchShotReplayer> batch_;
+    std::unique_ptr<ShotReplayer> replayer_;
+    std::unique_ptr<SimBackend> state_;
+    std::unique_ptr<StabilizerState> scratch_;
+    std::unique_ptr<OutcomePacker> packer_;
+    std::vector<DeferredShot> deferred_;
+    std::vector<FrameTailShot> tails_;
+    FrameBatchStats frameStats_;
+};
+
+/**
+ * Sort (outcome, count) items and fold duplicate keys in place by
+ * exact integer addition.  The result is key-sorted, key-unique, and
+ * the same for any split of the counts into items and any item order,
+ * which is why every chunking, wave split and shard partition of a
+ * run merges to the same histogram.
+ */
+void
+foldCounts(std::vector<std::pair<uint64_t, uint64_t>> &items)
+{
+    std::sort(items.begin(), items.end());
+    size_t kept = 0;
     for (size_t i = 0; i < items.size();) {
         const uint64_t key = items[i].first;
-        double count = 0.0;
+        uint64_t count = 0;
         for (; i < items.size() && items[i].first == key; i++)
             count += items[i].second;
-        dist.addSamples(key,
-                        static_cast<uint64_t>(std::llround(count)));
+        items[kept++] = {key, count};
     }
-    return dist;
+    items.resize(kept);
 }
 
 } // namespace
@@ -461,146 +612,33 @@ NoisyMachine::runPartial(const PreparedCircuit &prepared, int shots,
     require(prepared.valid(),
             "NoisyMachine::run on an empty PreparedCircuit");
     const PreparedJob &job = *prepared.impl_;
-    const bool compiled =
-        mode == ExecMode::Compiled && job.program.has_value();
+    const ExecPath path = execPath(job, mode);
+    const int64_t units = (shots + unitShots(path) - 1) / unitShots(path);
     const Rng base(run_seed ^ 0xadab7dd);
 
+    // Units are embarrassingly parallel (see ChunkExecutor), so each
+    // chunk counts outcomes into its own flat histogram and the
+    // key-ordered integer merge reproduces the serial result bit for
+    // bit at any thread count.  Chunk executors persist across waves
+    // (the pool may hand a slot to a different thread each wave;
+    // parallelFor's batch completion orders those accesses).
+    const int chunks = static_cast<int>(
+        std::min<int64_t>(resolveThreads(threads), units));
+    std::vector<FlatAccumulator> histograms(static_cast<size_t>(chunks));
+    std::vector<ChunkExecutor> execs;
+    execs.reserve(static_cast<size_t>(chunks));
+    for (int c = 0; c < chunks; c++)
+        execs.emplace_back(job, path, cal_, flags_, base, shots);
+
     // With a quiet control (no armed token, no progress callback) a
-    // single wave covers the whole job and the code below is exactly
-    // the historical run() — same chunking, same RNG streams, same
-    // key-ordered merge, bit-identical output.  An armed control
-    // switches to wave-structured execution: one block per chunk per
-    // wave, token polled between waves, so the committed work is
-    // always a contiguous, deterministic prefix of the shot range.
+    // single wave covers the whole job, so each chunk runs its whole
+    // contiguous range in one call.  An armed control switches to
+    // wave-structured execution: one block per chunk per wave, token
+    // polled between waves, so the committed work is always a
+    // contiguous, deterministic prefix of the shot range.
     const bool limited =
         control.token.armed() || control.progress != nullptr;
-
-    RunOutcome out;
-
-    if (mode == ExecMode::Compiled && job.frame.has_value()) {
-        // Batched Pauli-frame engine: shots propagate kFrameLanes at
-        // a time through the compiled frame op stream.
-        // Blocks are a pure function of the shot count, each block's
-        // randomness is forked from (base, absolute lane group), and
-        // the per-chunk histograms merge in key order — so the output
-        // is bit-identical for any thread count, batch-vs-serial, and
-        // any point a stop request lands.
-        const FrameProgram &prog = *job.frame;
-        constexpr int64_t lane_count = kFrameLanes;
-        const auto blocks = static_cast<int64_t>(
-            (static_cast<int64_t>(shots) + lane_count - 1) /
-            lane_count);
-        const int chunks = static_cast<int>(std::min<int64_t>(
-            resolveThreads(threads), blocks));
-        std::vector<FlatAccumulator> histograms(
-            static_cast<size_t>(chunks));
-
-        // Per-chunk-slot workers persist across waves (the pool may
-        // hand a slot to a different thread each wave; parallelFor's
-        // batch completion orders those accesses).
-        struct ChunkWorker
-        {
-            std::unique_ptr<FrameBatchBackend> runner;
-            std::unique_ptr<StabilizerState> scratch;
-            std::unique_ptr<OutcomePacker> packer;
-            std::vector<DeferredShot> deferred;
-            std::vector<FrameTailShot> tails;
-            FrameBatchStats stats;
-        };
-        std::vector<ChunkWorker> workers(static_cast<size_t>(chunks));
-
-        int64_t done = 0;
-        while (done < blocks) {
-            if ((out.cause = control.token.cause()) != StopCause::None)
-                break;
-            const int64_t hi =
-                limited ? std::min<int64_t>(done + chunks, blocks)
-                        : blocks;
-            parallelFor(done, hi, chunks,
-                        [&](int64_t lo2, int64_t hi2, int chunk) {
-                ChunkWorker &w = workers[static_cast<size_t>(chunk)];
-                FlatAccumulator &hist =
-                    histograms[static_cast<size_t>(chunk)];
-                if (!w.runner) {
-                    w.runner = std::make_unique<FrameBatchBackend>(prog);
-                }
-                for (int64_t block = lo2; block < hi2; block++) {
-                    const auto lanes =
-                        static_cast<int>(std::min<int64_t>(
-                            lane_count,
-                            static_cast<int64_t>(shots) -
-                                block * lane_count));
-                    w.runner->runBlock(base, block, lanes, hist,
-                                       w.deferred, w.tails);
-                }
-                if (w.deferred.empty() && w.tails.empty())
-                    return;
-                // Lanes whose T1 jump fired on a reference-superposed
-                // qubit finish off the plane pass: via compiled
-                // branch tails when enabled, else via exact per-shot
-                // tableau reruns of the same op stream.  Either way
-                // each consumes a dedicated stream keyed by its
-                // absolute shot index, so the merged output stays
-                // chunking- and wave-invariant.
-                if (!w.scratch) {
-                    w.scratch = std::make_unique<StabilizerState>(
-                        prog.numQubits);
-                    w.packer = std::make_unique<OutcomePacker>(
-                        prog.numClbits);
-                }
-                if (!w.deferred.empty()) {
-                    w.stats.deferredShots +=
-                        static_cast<int64_t>(w.deferred.size());
-                    drainDeferredShots(prog, base, w.deferred,
-                                       *w.scratch, *w.packer, hist);
-                }
-                if (!w.tails.empty()) {
-                    drainTailShots(prog, base, w.tails, *job.tails,
-                                   *w.scratch, *w.packer, hist,
-                                   w.stats);
-                }
-            });
-            done = hi;
-            if (control.progress) {
-                control.progress(std::min<int64_t>(
-                    done * lane_count, static_cast<int64_t>(shots)));
-            }
-        }
-        out.shotsDone = std::min<int64_t>(done * lane_count,
-                                          static_cast<int64_t>(shots));
-        out.partial = done < blocks;
-        out.dist = mergeChunkHistograms(histograms);
-        for (const ChunkWorker &w : workers)
-            out.frameStats.merge(w.stats);
-        return out;
-    }
-
-    // Dense / per-shot paths.  Shots are embarrassingly parallel:
-    // every shot's RNG streams are forked from (base, shot index)
-    // alone, so any partition of the shot range yields the same
-    // per-shot outcomes.  Each chunk counts outcomes into its own
-    // flat histogram; merging the histograms in key order (integer
-    // counts — exact addition) reproduces the serial result bit for
-    // bit at any thread count.
-    const int chunks = std::min(resolveThreads(threads), shots);
-    std::vector<FlatAccumulator> histograms(
-        static_cast<size_t>(chunks));
-
-    // Small compiled jobs without per-shot dynamic phases take the
-    // grouped replay: tapes for a whole kShotBlock block are drawn up
-    // front and shots with equal error signatures share one prefix
-    // execution — identical outcomes to the per-shot replay.
-    const bool grouped =
-        compiled && BatchShotReplayer::eligible(*job.program);
-
-    struct ChunkWorker
-    {
-        std::unique_ptr<ShotReplayer> replayer;
-        std::unique_ptr<BatchShotReplayer> batch;
-        std::unique_ptr<SimBackend> state;
-        std::unique_ptr<OutcomePacker> packer;
-    };
-    std::vector<ChunkWorker> workers(static_cast<size_t>(chunks));
+    const int64_t wave = limited ? chunks * blockUnits(path) : units;
 
     // Single-chunk cancellable runs poll the token per shot instead
     // of per wave: with one chunk the committed shots are a prefix at
@@ -609,109 +647,47 @@ NoisyMachine::runPartial(const PreparedCircuit &prepared, int shots,
         limited && chunks == 1 && control.token.armed()
             ? &control.token
             : nullptr;
-    const int64_t wave = limited
-                             ? static_cast<int64_t>(chunks) * kShotBlock
-                             : static_cast<int64_t>(shots);
+
+    RunOutcome out;
     int64_t done = 0;
-    bool stopped_in_block = false;
-    while (done < shots && !stopped_in_block) {
+    while (done < units) {
         if ((out.cause = control.token.cause()) != StopCause::None)
             break;
-        const int64_t hi =
-            std::min<int64_t>(done + wave, static_cast<int64_t>(shots));
+        const int64_t hi = std::min(done + wave, units);
         int64_t wave_done = hi - done;
         parallelFor(done, hi, chunks,
                     [&](int64_t lo2, int64_t hi2, int chunk) {
-            ChunkWorker &w = workers[static_cast<size_t>(chunk)];
-            FlatAccumulator &hist =
-                histograms[static_cast<size_t>(chunk)];
-            if (grouped) {
-                if (!w.batch) {
-                    w.batch = std::make_unique<BatchShotReplayer>(
-                        job.plan, *job.program);
-                }
-                const int64_t ran = w.batch->runBlock(
-                    base, lo2, hi2 - lo2, hist, shot_token);
-                if (shot_token != nullptr)
-                    wave_done = ran; // chunks == 1: sole writer
-                return;
-            }
-            if (compiled) {
-                if (!w.replayer) {
-                    w.replayer = std::make_unique<ShotReplayer>(
-                        job.plan, *job.program);
-                }
-                const int64_t ran = w.replayer->runBlock(
-                    base, lo2, hi2 - lo2, hist, shot_token);
-                if (shot_token != nullptr)
-                    wave_done = ran; // chunks == 1: sole writer
-                return;
-            }
-            if (!w.state) {
-                w.state = makeBackend(
-                    job.kind,
-                    static_cast<int>(job.plan.active.size()));
-                w.packer = std::make_unique<OutcomePacker>(
-                    job.plan.maxClbit + 1);
-            }
-            for (int64_t shot = lo2; shot < hi2; shot++) {
-                if (shot_token != nullptr &&
-                    shot_token->stopRequested()) {
-                    wave_done = shot - lo2; // chunks == 1
-                    return;
-                }
-                const Rng shot_rng =
-                    base.fork(static_cast<uint64_t>(shot) + 1);
-                hist.add(runShot(job.plan, cal_, flags_, *w.state,
-                                 *w.packer, shot_rng),
-                         1.0);
-            }
+            const auto c = static_cast<size_t>(chunk);
+            const int64_t ran =
+                execs[c].run(lo2, hi2, histograms[c], shot_token);
+            if (shot_token != nullptr)
+                wave_done = ran; // chunks == 1: sole writer
         });
         done += wave_done;
-        // A per-shot poll (chunks == 1) may stop inside the wave; the
-        // cause is re-read from the token after the loop.
-        stopped_in_block = done < hi;
         if (control.progress)
-            control.progress(done);
+            control.progress(shotsIn(path, done, shots));
+        // A per-shot poll (chunks == 1) may stop inside the wave; the
+        // cause is re-read from the token below.
+        if (done < hi)
+            break;
     }
-    out.shotsDone = done;
-    out.partial = done < shots;
+    out.shotsDone = shotsIn(path, done, shots);
+    out.partial = done < units;
     if (out.partial && out.cause == StopCause::None)
         out.cause = control.token.cause();
-    out.dist = mergeChunkHistograms(histograms);
-    for (const ChunkWorker &w : workers) {
-        if (w.batch)
-            out.denseStats.merge(w.batch->stats());
-    }
+
+    size_t total = 0;
+    for (const FlatAccumulator &hist : histograms)
+        total += hist.size();
+    std::vector<std::pair<uint64_t, uint64_t>> items;
+    items.reserve(total);
+    for (const FlatAccumulator &hist : histograms)
+        hist.appendCountsTo(items);
+    out.dist = mergeShardItems(std::move(items));
+    for (const ChunkExecutor &exec : execs)
+        exec.mergeStatsInto(out);
     return out;
 }
-
-namespace
-{
-
-/** Fold one FlatAccumulator into key-sorted, key-unique integer
- *  items — the wire form of a shard range's histogram. */
-std::vector<std::pair<uint64_t, uint64_t>>
-foldShardItems(const FlatAccumulator &hist)
-{
-    std::vector<std::pair<uint64_t, double>> raw;
-    raw.reserve(hist.size());
-    hist.appendItemsTo(raw);
-    std::sort(raw.begin(), raw.end());
-    std::vector<std::pair<uint64_t, uint64_t>> items;
-    items.reserve(raw.size());
-    for (size_t i = 0; i < raw.size();) {
-        const uint64_t key = raw[i].first;
-        double count = 0.0;
-        for (; i < raw.size() && raw[i].first == key; i++)
-            count += raw[i].second;
-        items.emplace_back(
-            key, static_cast<uint64_t>(std::llround(count)));
-    }
-    return items;
-}
-
-} // namespace
 
 int64_t
 NoisyMachine::shardBlockShots(const PreparedCircuit &prepared,
@@ -719,10 +695,8 @@ NoisyMachine::shardBlockShots(const PreparedCircuit &prepared,
 {
     require(prepared.valid(),
             "shardBlockShots on an empty PreparedCircuit");
-    const PreparedJob &job = *prepared.impl_;
-    return mode == ExecMode::Compiled && job.frame.has_value()
-               ? static_cast<int64_t>(kFrameLanes)
-               : static_cast<int64_t>(kShotBlock);
+    const ExecPath path = execPath(*prepared.impl_, mode);
+    return unitShots(path) * blockUnits(path);
 }
 
 int64_t
@@ -747,107 +721,38 @@ NoisyMachine::runShardRange(
     require(block_lo >= 0 && block_lo <= block_hi && block_hi <= blocks,
             "runShardRange block range out of bounds");
     const PreparedJob &job = *prepared.impl_;
-    const Rng base(run_seed ^ 0xadab7dd);
+    const ExecPath path = execPath(job, mode);
+    const int64_t per_block = blockUnits(path);
+    const int64_t units = (shots + unitShots(path) - 1) / unitShots(path);
+
+    // The same executor runPartial drives, one block per call, so the
+    // worker heartbeat fires per block and the frame drains run per
+    // block — both cadences leave every outcome unchanged.
+    ChunkExecutor exec(job, path, cal_, flags_,
+                       Rng(run_seed ^ 0xadab7dd), shots);
     FlatAccumulator hist;
-    int64_t range_shots = 0;
-
-    if (mode == ExecMode::Compiled && job.frame.has_value()) {
-        // Batch frame path: identical per-block randomness to
-        // runPartial — runBlock forks off (base, absolute block), the
-        // drains consume streams keyed by absolute shot index and are
-        // wave/chunking-invariant, so draining after every block
-        // matches any other drain cadence bit for bit.
-        const FrameProgram &prog = *job.frame;
-        constexpr int64_t lane_count = kFrameLanes;
-        FrameBatchBackend runner(prog);
-        StabilizerState scratch(prog.numQubits);
-        OutcomePacker packer(prog.numClbits);
-        std::vector<DeferredShot> deferred;
-        std::vector<FrameTailShot> tails;
-        FrameBatchStats stats;
-        for (int64_t block = block_lo; block < block_hi; block++) {
-            const auto lanes = static_cast<int>(std::min<int64_t>(
-                lane_count,
-                static_cast<int64_t>(shots) - block * lane_count));
-            runner.runBlock(base, block, lanes, hist, deferred, tails);
-            if (!deferred.empty()) {
-                drainDeferredShots(prog, base, deferred, scratch,
-                                   packer, hist);
-            }
-            if (!tails.empty()) {
-                drainTailShots(prog, base, tails, *job.tails, scratch,
-                               packer, hist, stats);
-            }
-            range_shots += lanes;
-            if (progress)
-                progress(range_shots);
-        }
-        return foldShardItems(hist);
-    }
-
-    // Dense / per-shot paths: per-shot streams forked from
-    // (base, absolute shot index), exactly as in runPartial —
-    // including the grouped-replay strategy choice, which never
-    // changes outcomes.
-    const bool compiled =
-        mode == ExecMode::Compiled && job.program.has_value();
-    const bool grouped =
-        compiled && BatchShotReplayer::eligible(*job.program);
-    std::unique_ptr<ShotReplayer> replayer;
-    std::unique_ptr<BatchShotReplayer> batch;
-    std::unique_ptr<SimBackend> state;
-    std::unique_ptr<OutcomePacker> packer;
+    const int64_t first_shot = shotsIn(path, block_lo * per_block, shots);
     for (int64_t block = block_lo; block < block_hi; block++) {
-        const int64_t lo = block * kShotBlock;
-        const int64_t hi = std::min<int64_t>(
-            lo + kShotBlock, static_cast<int64_t>(shots));
-        if (grouped) {
-            if (!batch) {
-                batch = std::make_unique<BatchShotReplayer>(
-                    job.plan, *job.program);
-            }
-            batch->runBlock(base, lo, hi - lo, hist, nullptr);
-        } else if (compiled) {
-            if (!replayer) {
-                replayer = std::make_unique<ShotReplayer>(
-                    job.plan, *job.program);
-            }
-            replayer->runBlock(base, lo, hi - lo, hist, nullptr);
-        } else {
-            if (!state) {
-                state = makeBackend(
-                    job.kind,
-                    static_cast<int>(job.plan.active.size()));
-                packer = std::make_unique<OutcomePacker>(
-                    job.plan.maxClbit + 1);
-            }
-            for (int64_t shot = lo; shot < hi; shot++) {
-                const Rng shot_rng =
-                    base.fork(static_cast<uint64_t>(shot) + 1);
-                hist.add(runShot(job.plan, cal_, flags_, *state,
-                                 *packer, shot_rng),
-                         1.0);
-            }
-        }
-        range_shots += hi - lo;
+        const int64_t lo = block * per_block;
+        const int64_t hi = std::min(lo + per_block, units);
+        exec.run(lo, hi, hist, nullptr);
         if (progress)
-            progress(range_shots);
+            progress(shotsIn(path, hi, shots) - first_shot);
     }
-    return foldShardItems(hist);
+    std::vector<std::pair<uint64_t, uint64_t>> items;
+    items.reserve(hist.size());
+    hist.appendCountsTo(items);
+    foldCounts(items);
+    return items;
 }
 
 Distribution
 mergeShardItems(std::vector<std::pair<uint64_t, uint64_t>> items)
 {
-    std::sort(items.begin(), items.end());
+    foldCounts(items);
     Distribution dist;
-    for (size_t i = 0; i < items.size();) {
-        const uint64_t key = items[i].first;
-        uint64_t count = 0;
-        for (; i < items.size() && items[i].first == key; i++)
-            count += items[i].second;
+    for (const auto &[key, count] : items)
         dist.addSamples(key, count);
-    }
     return dist;
 }
 
@@ -898,20 +803,12 @@ NoisyMachine::runBatch(std::span<const PreparedCircuit> jobs, int shots,
                        std::span<const uint64_t> seeds, int threads,
                        ExecMode mode) const
 {
-    require(jobs.size() == seeds.size(),
-            "runBatch requires one seed per job");
-    require(jobs.empty() || shots > 0,
-            "runBatch requires at least one shot");
-    std::vector<Distribution> outputs(jobs.size());
-    parallelFor(0, static_cast<int64_t>(jobs.size()), threads,
-                [&](int64_t lo, int64_t hi, int) {
-        for (int64_t i = lo; i < hi; i++) {
-            outputs[static_cast<size_t>(i)] =
-                run(jobs[static_cast<size_t>(i)], shots,
-                    seeds[static_cast<size_t>(i)], /*threads=*/0,
-                    mode);
-        }
-    });
+    std::vector<RunOutcome> outcomes = runBatchPartial(
+        jobs, shots, seeds, threads, RunControl{}, mode);
+    std::vector<Distribution> outputs;
+    outputs.reserve(outcomes.size());
+    for (RunOutcome &out : outcomes)
+        outputs.push_back(std::move(out.dist));
     return outputs;
 }
 

@@ -69,8 +69,8 @@ class ProgramCache;
  *    shots per pass.  Bit-identical to itself for any thread count
  *    and batch-vs-serial, and statistically equivalent (not
  *    draw-identical) to Interpreted; jobs with per-shot OU twirl
- *    draws, or with ADAPT_FRAME_BATCH=0 in the environment, fall
- *    back to Interpreted.
+ *    draws or conditional non-Pauli pulses fall back to
+ *    Interpreted.
  *  - Interpreted: one full Aaronson-Gottesman tableau per shot (the
  *    reference semantics the frame engine is tested against).
  */
@@ -106,19 +106,6 @@ class PreparedCircuit
     friend class NoisyMachine;
     std::shared_ptr<const PreparedJob> impl_;
 };
-
-/**
- * Shots per cancellation block on the dense / per-shot paths: the
- * granularity at which wave-structured cancellable runs commit work
- * (the batch frame engine's natural block is kFrameLanes
- * instead).  This is also the grouped dense replay's batching
- * window: a block's shots draw their tapes together and shots with
- * identical error patterns share one prefix execution.
- * Per-shot RNG streams make any block size prefix-exact; this one
- * just bounds how much work a multi-chunk run can lose to a stop
- * request.
- */
-constexpr int kShotBlock = 64;
 
 /**
  * Caller-supplied controls for a cancellable run: a stop token

@@ -102,9 +102,8 @@ skeletonFingerprint(const ScheduledCircuit &sched,
            (flags.twirlCoherent ? 64u : 0u));
     f.word(static_cast<uint64_t>(requested));
 
-    // Frame-engine knobs the structure phase reads: folded as live
-    // raw strings so env toggles between prepares re-key the cache.
-    f.text(envText("ADAPT_FRAME_BATCH"));
+    // The frame-engine knob the structure phase reads: folded as its
+    // live raw string so env toggles between prepares re-key the cache.
     f.text(envText("ADAPT_FRAME_BRANCH_DEPTH"));
 
     return {f.a.state, f.b.state};

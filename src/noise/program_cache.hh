@@ -59,10 +59,9 @@ struct ProgramFingerprint
  * Fingerprint of everything the structure phase reads: the scheduled
  * op stream (types, operands, parameter/time bit patterns, link
  * indices), the noise-flag set, the requested backend, and the
- * frame-engine environment knobs (ADAPT_FRAME_BATCH,
- * ADAPT_FRAME_BRANCH_DEPTH — folded as raw strings, read live per
- * call, so tests that toggle them between prepares never see a stale
- * skeleton).
+ * frame engine's ADAPT_FRAME_BRANCH_DEPTH knob (folded as its raw
+ * string, read live per call, so tests that toggle it between
+ * prepares never see a stale skeleton).
  */
 ProgramFingerprint skeletonFingerprint(const ScheduledCircuit &sched,
                                        const NoiseFlags &flags,

@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <string>
 #include <utility>
@@ -233,29 +234,76 @@ TEST_F(ShardTest, ShardRangePartitionsMergeToRun)
     const Device d = Device::ibmqRome();
     const NoisyMachine dense_machine(d);
     const NoisyMachine frame_machine(d, 0, NoiseFlags::pauliOnly());
+    NoiseFlags no_ou = NoiseFlags::all();
+    no_ou.ouDephasing = false; // phase-free: the grouped dense replay
+    const NoisyMachine grouped_machine(d, 0, no_ou);
     constexpr int kShots = 700;
-    for (const bool frame : {false, true}) {
-        const NoisyMachine &machine =
-            frame ? frame_machine : dense_machine;
-        const JobUnderTest job =
-            frame ? frameJob(machine, d) : denseJob(machine, d);
+
+    struct Case
+    {
+        const char *name;
+        const NoisyMachine &machine;
+        JobUnderTest job;
+        ExecMode mode;
+    };
+    const Case cases[] = {
+        {"dense", dense_machine, denseJob(dense_machine, d),
+         ExecMode::Compiled},
+        {"frame", frame_machine, frameJob(frame_machine, d),
+         ExecMode::Compiled},
+        {"grouped dense", grouped_machine, denseJob(grouped_machine, d),
+         ExecMode::Compiled},
+        {"interpreted dense", dense_machine, denseJob(dense_machine, d),
+         ExecMode::Interpreted},
+        {"interpreted frame", frame_machine, frameJob(frame_machine, d),
+         ExecMode::Interpreted},
+    };
+    // The grouped case must really take the grouped path.
+    EXPECT_EQ(grouped_machine.runPartial(cases[2].job.prepared, kShots, 5)
+                  .denseStats.shots,
+              kShots);
+
+    for (const Case &c : cases) {
+        const PreparedCircuit &prepared = c.job.prepared;
         const Distribution oracle =
-            machine.run(job.prepared, kShots, 5);
+            c.machine.run(prepared, kShots, 5, 0, c.mode);
         const int64_t blocks =
-            machine.shardBlockCount(job.prepared, kShots);
-        ASSERT_GE(blocks, 2) << "job too small to shard";
+            c.machine.shardBlockCount(prepared, kShots, c.mode);
+        const int64_t block_shots =
+            c.machine.shardBlockShots(prepared, c.mode);
+        ASSERT_GE(blocks, 2) << c.name << ": job too small to shard";
+
+        // Run one range; its progress must fire once per block with
+        // the cumulative shots done within the range, ending at the
+        // range's shot count.
+        const auto run_range = [&](int64_t lo, int64_t hi) {
+            std::vector<int64_t> seen;
+            auto items = c.machine.runShardRange(
+                prepared, kShots, lo, hi, 5, c.mode,
+                [&](int64_t shots) { seen.push_back(shots); });
+            EXPECT_EQ(static_cast<int64_t>(seen.size()), hi - lo)
+                << c.name;
+            for (size_t i = 0; i < seen.size(); i++) {
+                const int64_t end = std::min<int64_t>(
+                    (lo + static_cast<int64_t>(i) + 1) * block_shots,
+                    kShots);
+                EXPECT_EQ(seen[i], end - lo * block_shots)
+                    << c.name << " range [" << lo << ", " << hi
+                    << ") block " << i;
+            }
+            return items;
+        };
+
         // Partition [0, blocks) at every split point; each partition
         // must merge to the oracle exactly.
         for (int64_t cut = 1; cut < blocks; cut++) {
-            auto lo_items = machine.runShardRange(job.prepared,
-                                                  kShots, 0, cut, 5);
-            const auto hi_items = machine.runShardRange(
-                job.prepared, kShots, cut, blocks, 5);
+            auto lo_items = run_range(0, cut);
+            const auto hi_items = run_range(cut, blocks);
             lo_items.insert(lo_items.end(), hi_items.begin(),
                             hi_items.end());
             EXPECT_TRUE(distributionsIdentical(
                 mergeShardItems(std::move(lo_items)), oracle))
-                << (frame ? "frame" : "dense") << " cut=" << cut;
+                << c.name << " cut=" << cut;
         }
     }
 }
