@@ -30,11 +30,12 @@
  *  - the batch frame engine on a 50q/100q T1 characterization;
  *  - one-time job preparation (plan lowering + compilation), to show
  *    amortization across shots;
- *  - the apply1Q / applyPhase / populationOne kernels, timed for
- *    every kernel set the host can run (the portable scalar set
- *    always, the AVX2 set when the CPU has it) from one binary; the
- *    "simd" counter marks each row, and the banner names the set the
- *    shot-throughput rows ran.
+ *  - the apply1Q / applyPhase / populationOne kernels at 2^16
+ *    amplitudes, and applyCX and the measure (populations + collapse)
+ *    at 2^5..2^16, timed for every kernel set the host can run (the
+ *    portable scalar set always, the AVX2 set when the CPU has it)
+ *    from one binary; the "simd" counter marks each row, and the
+ *    banner names the set the shot-throughput rows ran.
  *
  * Thread count is the benchmark argument; 0 means auto
  * (ADAPT_NUM_THREADS or hardware concurrency).
@@ -263,13 +264,13 @@ BM_IdealDistribution(benchmark::State &state)
         benchmark::DoNotOptimize(idealDistribution(physical));
 }
 
-/** A 16-qubit register in the uniform superposition. */
+/** An @p n-qubit register in the uniform superposition. */
 std::vector<Complex>
-uniformAmplitudes()
+uniformAmplitudes(int n = 16)
 {
-    constexpr size_t kDim = size_t{1} << 16;
+    const size_t dim = size_t{1} << n;
     return std::vector<Complex>(
-        kDim, Complex(1.0 / std::sqrt(static_cast<double>(kDim))));
+        dim, Complex(1.0 / std::sqrt(static_cast<double>(dim))));
 }
 
 /** Single-qubit kernel, stride-1 (q = 0) vs. strided (high qubit). */
@@ -312,6 +313,46 @@ BM_PopulationOne(benchmark::State &state,
     for (auto _ : state) {
         benchmark::DoNotOptimize(
             kernels->populationOne(amps.data(), amps.size(), q));
+    }
+    state.counters["simd"] = simdFlag(*kernels);
+}
+
+/** CX permutation; args are (qubits, control, target). */
+void
+BM_ApplyCX(benchmark::State &state, const dense::KernelSet *kernels)
+{
+    const auto control = static_cast<QubitId>(state.range(1));
+    const auto target = static_cast<QubitId>(state.range(2));
+    std::vector<Complex> amps =
+        uniformAmplitudes(static_cast<int>(state.range(0)));
+    for (auto _ : state) {
+        kernels->applyCX(amps.data(), amps.size(), control, target);
+        benchmark::DoNotOptimize(amps.data());
+        benchmark::ClobberMemory();
+    }
+    state.counters["simd"] = simdFlag(*kernels);
+}
+
+/**
+ * One mid-circuit measure as StateVector makes it: the populations
+ * pass, then the collapse pass.  Args are (qubits, q).  After the
+ * first iteration the state is already collapsed, so later ones keep
+ * the same branch with scale 1; the two sweeps cost the same.
+ */
+void
+BM_Measure(benchmark::State &state, const dense::KernelSet *kernels)
+{
+    const auto q = static_cast<QubitId>(state.range(1));
+    std::vector<Complex> amps =
+        uniformAmplitudes(static_cast<int>(state.range(0)));
+    for (auto _ : state) {
+        const dense::Populations p =
+            kernels->populations(amps.data(), amps.size(), q);
+        const bool outcome = p.p1 >= p.p0;
+        kernels->collapse(amps.data(), amps.size(), q, outcome,
+                          1.0 / std::sqrt(outcome ? p.p1 : p.p0));
+        benchmark::DoNotOptimize(amps.data());
+        benchmark::ClobberMemory();
     }
     state.counters["simd"] = simdFlag(*kernels);
 }
@@ -373,6 +414,18 @@ registerBenchmarks()
                   BM_PopulationOne, kernels)}) {
             kernel->Arg(0)->Arg(15)->Unit(benchmark::kMicrosecond);
         }
+        auto *cx = benchmark::RegisterBenchmark(
+            ("BM_ApplyCX/" + isa).c_str(), BM_ApplyCX, kernels);
+        auto *measure = benchmark::RegisterBenchmark(
+            ("BM_Measure/" + isa).c_str(), BM_Measure, kernels);
+        for (const int64_t n : {5, 8, 11, 14, 16}) {
+            // Target 0, control 0, and two high qubits (long runs).
+            cx->Args({n, 1, 0})->Args({n, 0, n - 1})->Args(
+                {n, n - 1, n - 2});
+            measure->Args({n, 0})->Args({n, n - 1});
+        }
+        cx->Unit(benchmark::kMicrosecond);
+        measure->Unit(benchmark::kMicrosecond);
     }
 }
 

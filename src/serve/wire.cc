@@ -1,5 +1,6 @@
 #include "serve/wire.hh"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <unistd.h>
@@ -141,8 +142,10 @@ encodeFrame(FrameType type, const std::vector<uint8_t> &payload)
     frame[7] = 0;
     putU32(frame.data() + 8, static_cast<uint32_t>(payload.size()));
     putU32(frame.data() + 12, crc32(payload.data(), payload.size()));
-    std::memcpy(frame.data() + kHeaderBytes, payload.data(),
-                payload.size());
+    // std::copy, not memcpy: an empty payload (Shutdown) may have a
+    // null data(), which memcpy must not be passed.
+    std::copy(payload.begin(), payload.end(),
+              frame.begin() + kHeaderBytes);
     return frame;
 }
 

@@ -56,25 +56,6 @@ forEachBothSet(uint64_t dim, uint64_t abit, uint64_t bbit, Fn &&fn)
     }
 }
 
-/** Visit every basis index with @p set_bit set and @p clear_bit
- *  clear (the canonical member of each two-qubit swap pair). */
-template <typename Fn>
-inline void
-forEachSetClear(uint64_t dim, uint64_t set_bit, uint64_t clear_bit,
-                Fn &&fn)
-{
-    const uint64_t hi = std::max(set_bit, clear_bit);
-    const uint64_t lo = std::min(set_bit, clear_bit);
-    const uint64_t a0 = set_bit > clear_bit ? hi : 0;
-    const uint64_t b0 = set_bit > clear_bit ? 0 : lo;
-    for (uint64_t a = a0; a < dim; a += 2 * hi) {
-        for (uint64_t b = b0; b < hi; b += 2 * lo) {
-            for (uint64_t i = 0; i < lo; i++)
-                fn(a + b + i);
-        }
-    }
-}
-
 // ------------------------------------------------------------------
 // Hot kernels.  The scalar and AVX2 bodies make the same products
 // and sums in the same order (no FMA on either side), so the two
@@ -130,37 +111,132 @@ scalarApplyPhase(Complex *amps, uint64_t dim, QubitId q, Complex factor)
 }
 
 /**
- * Four accumulators, as the AVX2 body's four vector lanes: re^2 and
- * im^2 of the even and of the odd member of each aligned index pair
- * (for q = 0 only odd indices are set, so the even pair stays 0),
- * folded in a fixed order.
+ * Four accumulators, as the AVX2 bodies' four vector lanes: re^2 and
+ * im^2 of the even and of the odd member of each aligned index pair,
+ * each summed in ascending index order, folded in a fixed order.
+ * Every squared-norm sum of the simulator (populationOne,
+ * populations, norm) is made in these lanes, so the sum over one
+ * half of a collapsed state equals norm() of that state bit for bit:
+ * the zeroed half adds exactly 0.0 to each lane.
  */
+struct Lanes
+{
+    double l[4] = {0.0, 0.0, 0.0, 0.0};
+
+    void addEven(Complex a)
+    {
+        l[0] += a.real() * a.real();
+        l[1] += a.imag() * a.imag();
+    }
+
+    void addOdd(Complex a)
+    {
+        l[2] += a.real() * a.real();
+        l[3] += a.imag() * a.imag();
+    }
+
+    /** Add the @p len (even) amplitudes at the even index @p a. */
+    void addPairs(const Complex *a, uint64_t len)
+    {
+        for (uint64_t i = 0; i < len; i += 2) {
+            addEven(a[i]);
+            addOdd(a[i + 1]);
+        }
+    }
+
+    double fold() const { return ((l[0] + l[1]) + l[2]) + l[3]; }
+};
+
+/** For q = 0 only odd indices are set, so the even lanes stay 0. */
 double
 scalarPopulationOne(const Complex *amps, uint64_t dim, QubitId q)
 {
     const uint64_t bit = uint64_t{1} << q;
-    double l0 = 0.0, l1 = 0.0, l2 = 0.0, l3 = 0.0;
+    Lanes one;
     if (bit == 1) {
-        for (uint64_t i = 1; i < dim; i += 2) {
-            l2 += amps[i].real() * amps[i].real();
-            l3 += amps[i].imag() * amps[i].imag();
-        }
+        for (uint64_t i = 1; i < dim; i += 2)
+            one.addOdd(amps[i]);
     } else {
-        for (uint64_t base = bit; base < dim; base += 2 * bit) {
-            for (uint64_t i = base; i < base + bit; i += 2) {
-                l0 += amps[i].real() * amps[i].real();
-                l1 += amps[i].imag() * amps[i].imag();
-                l2 += amps[i + 1].real() * amps[i + 1].real();
-                l3 += amps[i + 1].imag() * amps[i + 1].imag();
-            }
-        }
+        for (uint64_t base = bit; base < dim; base += 2 * bit)
+            one.addPairs(amps + base, bit);
     }
-    return ((l0 + l1) + l2) + l3;
+    return one.fold();
 }
 
-const dense::KernelSet kScalarKernels{"scalar", scalarApply1Q,
-                                      scalarApplyPhase,
-                                      scalarPopulationOne};
+dense::Populations
+scalarPopulations(const Complex *amps, uint64_t dim, QubitId q)
+{
+    const uint64_t bit = uint64_t{1} << q;
+    Lanes zero, one;
+    if (bit == 1) {
+        for (uint64_t i = 0; i < dim; i += 2) {
+            zero.addEven(amps[i]);
+            one.addOdd(amps[i + 1]);
+        }
+    } else {
+        for (uint64_t base = 0; base < dim; base += 2 * bit) {
+            zero.addPairs(amps + base, bit);
+            one.addPairs(amps + base + bit, bit);
+        }
+    }
+    return {zero.fold(), one.fold()};
+}
+
+void
+scalarCollapse(Complex *amps, uint64_t dim, QubitId q, bool outcome,
+               double scale)
+{
+    const uint64_t bit = uint64_t{1} << q;
+    const uint64_t keep = outcome ? bit : 0;
+    for (uint64_t base = 0; base < dim; base += 2 * bit) {
+        Complex *kept = amps + base + keep;
+        Complex *dropped = amps + base + (bit - keep);
+        for (uint64_t i = 0; i < bit; i++) {
+            kept[i] = {kept[i].real() * scale, kept[i].imag() * scale};
+            dropped[i] = Complex{};
+        }
+    }
+}
+
+/**
+ * Swap the @p lo-long amplitude runs at offsets @p off_a and @p off_b
+ * of every block of @p dim that has both the @p lo and the @p hi bit
+ * clear (lo < hi; each offset is a sum of lo and hi).
+ */
+void
+scalarSwapRuns(Complex *amps, uint64_t dim, uint64_t lo, uint64_t hi,
+               uint64_t off_a, uint64_t off_b)
+{
+    for (uint64_t a = 0; a < dim; a += 2 * hi) {
+        for (uint64_t b = a; b < a + hi; b += 2 * lo)
+            std::swap_ranges(amps + b + off_a, amps + b + off_a + lo,
+                             amps + b + off_b);
+    }
+}
+
+void
+scalarApplyCX(Complex *amps, uint64_t dim, QubitId control,
+              QubitId target)
+{
+    const uint64_t cbit = uint64_t{1} << control;
+    const uint64_t tbit = uint64_t{1} << target;
+    scalarSwapRuns(amps, dim, std::min(cbit, tbit), std::max(cbit, tbit),
+                   cbit, cbit | tbit);
+}
+
+void
+scalarApplySwap(Complex *amps, uint64_t dim, QubitId a, QubitId b)
+{
+    const uint64_t abit = uint64_t{1} << a;
+    const uint64_t bbit = uint64_t{1} << b;
+    scalarSwapRuns(amps, dim, std::min(abit, bbit), std::max(abit, bbit),
+                   abit, bbit);
+}
+
+const dense::KernelSet kScalarKernels{
+    "scalar",            scalarApply1Q,     scalarApplyPhase,
+    scalarPopulationOne, scalarPopulations, scalarCollapse,
+    scalarApplyCX,       scalarApplySwap};
 
 #if DENSE_HAVE_AVX2
 
@@ -268,6 +344,15 @@ avx2ApplyPhase(Complex *amps, uint64_t dim, QubitId q, Complex factor)
     }
 }
 
+/** Lanes::fold() of a vector accumulator. */
+DENSE_AVX2 inline double
+foldLanes(__m256d acc)
+{
+    alignas(32) double lanes[4];
+    _mm256_store_pd(lanes, acc);
+    return ((lanes[0] + lanes[1]) + lanes[2]) + lanes[3];
+}
+
 DENSE_AVX2 double
 avx2PopulationOne(const Complex *amps, uint64_t dim, QubitId q)
 {
@@ -290,15 +375,167 @@ avx2PopulationOne(const Complex *amps, uint64_t dim, QubitId q)
             }
         }
     }
-    alignas(32) double lanes[4];
-    _mm256_store_pd(lanes, acc);
-    return ((lanes[0] + lanes[1]) + lanes[2]) + lanes[3];
+    return foldLanes(acc);
+}
+
+DENSE_AVX2 dense::Populations
+avx2Populations(const Complex *amps, uint64_t dim, QubitId q)
+{
+    const auto *d = reinterpret_cast<const double *>(amps);
+    const uint64_t bit = uint64_t{1} << q;
+    if (bit == 1) {
+        // One accumulator: its even lanes are the |0> lanes, its odd
+        // lanes the |1> lanes; blending zeros into the other pair
+        // gives each half exactly its own four-lane fold.
+        __m256d acc = _mm256_setzero_pd();
+        for (uint64_t i = 0; i < dim; i += 2) {
+            const __m256d v = _mm256_loadu_pd(d + 2 * i);
+            acc = _mm256_add_pd(acc, _mm256_mul_pd(v, v));
+        }
+        const __m256d zero = _mm256_setzero_pd();
+        return {foldLanes(_mm256_blend_pd(acc, zero, 0b1100)),
+                foldLanes(_mm256_blend_pd(zero, acc, 0b1100))};
+    }
+    // The |0> and |1> runs of a block sit bit apart; walking them side
+    // by side keeps two independent add chains in flight, each in
+    // ascending index order.
+    __m256d acc0 = _mm256_setzero_pd();
+    __m256d acc1 = _mm256_setzero_pd();
+    for (uint64_t base = 0; base < dim; base += 2 * bit) {
+        for (uint64_t i = base; i < base + bit; i += 2) {
+            const __m256d v0 = _mm256_loadu_pd(d + 2 * i);
+            const __m256d v1 = _mm256_loadu_pd(d + 2 * (i + bit));
+            acc0 = _mm256_add_pd(acc0, _mm256_mul_pd(v0, v0));
+            acc1 = _mm256_add_pd(acc1, _mm256_mul_pd(v1, v1));
+        }
+    }
+    return {foldLanes(acc0), foldLanes(acc1)};
+}
+
+DENSE_AVX2 void
+avx2Collapse(Complex *amps, uint64_t dim, QubitId q, bool outcome,
+             double scale)
+{
+    auto *d = reinterpret_cast<double *>(amps);
+    const uint64_t bit = uint64_t{1} << q;
+    const __m256d s = _mm256_set1_pd(scale);
+    if (bit == 1) {
+        // Each vector holds one |0> and one |1> amplitude: scale both
+        // and mask the dropped one to +0.0.
+        const __m256d keep =
+            _mm256_castsi256_pd(outcome ? _mm256_setr_epi64x(0, 0, -1, -1)
+                                        : _mm256_setr_epi64x(-1, -1, 0, 0));
+        for (uint64_t i = 0; i < dim; i += 2) {
+            const __m256d v = _mm256_loadu_pd(d + 2 * i);
+            _mm256_storeu_pd(d + 2 * i,
+                             _mm256_and_pd(_mm256_mul_pd(v, s), keep));
+        }
+        return;
+    }
+    const __m256d zero = _mm256_setzero_pd();
+    const uint64_t keep = outcome ? bit : 0;
+    if (bit < 8) {
+        // Short runs: one loop over both keeps the trip count up.
+        for (uint64_t base = 0; base < dim; base += 2 * bit) {
+            double *kept = d + 2 * (base + keep);
+            double *dropped = d + 2 * (base + bit - keep);
+            for (uint64_t i = 0; i < 2 * bit; i += 4) {
+                _mm256_storeu_pd(
+                    kept + i, _mm256_mul_pd(_mm256_loadu_pd(kept + i), s));
+                _mm256_storeu_pd(dropped + i, zero);
+            }
+        }
+        return;
+    }
+    // Long runs: walk each block's two runs one after the other, in
+    // address order; storing to both in one loop measured up to 2x
+    // slower from runs of 16 amplitudes up.
+    for (uint64_t base = 0; base < dim; base += bit) {
+        double *run = d + 2 * base;
+        if ((base & bit) == keep) {
+            for (uint64_t i = 0; i < 2 * bit; i += 4)
+                _mm256_storeu_pd(
+                    run + i, _mm256_mul_pd(_mm256_loadu_pd(run + i), s));
+        } else {
+            for (uint64_t i = 0; i < 2 * bit; i += 4)
+                _mm256_storeu_pd(run + i, zero);
+        }
+    }
+}
+
+/**
+ * scalarSwapRuns with 256-bit moves.  Runs of one amplitude (one
+ * qubit is 0) swap as single 128-bit amplitudes: blending them into
+ * 256-bit vectors rewrites the unchanged neighbours too and measured
+ * 10-30% slower.
+ */
+DENSE_AVX2 void
+avx2SwapRuns(Complex *amps, uint64_t dim, uint64_t lo, uint64_t hi,
+             uint64_t off_a, uint64_t off_b)
+{
+    auto *d = reinterpret_cast<double *>(amps);
+    if (lo == 1) {
+        for (uint64_t a = 0; a < dim; a += 2 * hi) {
+            for (uint64_t b = a; b < a + hi; b += 2) {
+                double *x = d + 2 * (b + off_a);
+                double *y = d + 2 * (b + off_b);
+                const __m128d vx = _mm_loadu_pd(x);
+                const __m128d vy = _mm_loadu_pd(y);
+                _mm_storeu_pd(x, vy);
+                _mm_storeu_pd(y, vx);
+            }
+        }
+        return;
+    }
+    for (uint64_t a = 0; a < dim; a += 2 * hi) {
+        for (uint64_t b = a; b < a + hi; b += 2 * lo) {
+            double *x = d + 2 * (b + off_a);
+            double *y = d + 2 * (b + off_b);
+            for (uint64_t i = 0; i < 2 * lo; i += 4) {
+                const __m256d vx = _mm256_loadu_pd(x + i);
+                const __m256d vy = _mm256_loadu_pd(y + i);
+                _mm256_storeu_pd(x + i, vy);
+                _mm256_storeu_pd(y + i, vx);
+            }
+        }
+    }
+}
+
+DENSE_AVX2 void
+avx2ApplyCX(Complex *amps, uint64_t dim, QubitId control, QubitId target)
+{
+    const uint64_t cbit = uint64_t{1} << control;
+    const uint64_t tbit = uint64_t{1} << target;
+    if (tbit != 1) {
+        avx2SwapRuns(amps, dim, std::min(cbit, tbit),
+                     std::max(cbit, tbit), cbit, cbit | tbit);
+        return;
+    }
+    // Target 0: each control-set vector swaps its two halves.
+    auto *d = reinterpret_cast<double *>(amps);
+    for (uint64_t base = cbit; base < dim; base += 2 * cbit) {
+        for (uint64_t i = base; i < base + cbit; i += 2) {
+            const __m256d v = _mm256_loadu_pd(d + 2 * i);
+            _mm256_storeu_pd(d + 2 * i, _mm256_permute2f128_pd(v, v, 0x01));
+        }
+    }
+}
+
+DENSE_AVX2 void
+avx2ApplySwap(Complex *amps, uint64_t dim, QubitId a, QubitId b)
+{
+    const uint64_t abit = uint64_t{1} << a;
+    const uint64_t bbit = uint64_t{1} << b;
+    avx2SwapRuns(amps, dim, std::min(abit, bbit), std::max(abit, bbit),
+                 abit, bbit);
 }
 
 #undef DENSE_AVX2
 
-const dense::KernelSet kAvx2Kernels{"avx2", avx2Apply1Q,
-                                    avx2ApplyPhase, avx2PopulationOne};
+const dense::KernelSet kAvx2Kernels{
+    "avx2",            avx2Apply1Q,     avx2ApplyPhase,
+    avx2PopulationOne, avx2Populations, avx2Collapse,
+    avx2ApplyCX,       avx2ApplySwap};
 
 #endif // DENSE_HAVE_AVX2
 
@@ -386,30 +623,31 @@ StateVector::applyDecayJump(QubitId q)
     touch();
     const uint64_t dim = amps_.size();
     const uint64_t bit = uint64_t{1} << q;
-    // Move each |1>_q amplitude onto its |0>_q partner and sum the
-    // moved weights in ascending index order: exactly the additions
-    // norm() makes on the result, whose |1>_q half is all zeros.
-    double sum = 0.0;
-    for (uint64_t base = 0; base < dim; base += 2 * bit) {
-        for (uint64_t i = base; i < base + bit; i++) {
-            amps_[i] = amps_[i + bit];
-            amps_[i + bit] = 0.0;
-            sum += std::norm(amps_[i]);
+    Complex *amps = amps_.data();
+    // Copy each |1>_q amplitude onto its |0>_q partner and sum the
+    // moved weights in norm()'s lanes as they land; the collapse then
+    // zeroes the |1>_q half and rescales the moved one.
+    Lanes moved;
+    if (bit == 1) {
+        for (uint64_t i = 0; i < dim; i += 2) {
+            amps[i] = amps[i + 1];
+            moved.addEven(amps[i]);
+        }
+    } else {
+        for (uint64_t base = 0; base < dim; base += 2 * bit) {
+            std::copy_n(amps + base + bit, bit, amps + base);
+            moved.addPairs(amps + base, bit);
         }
     }
-    rescaleHalf(bit, 0, sum);
+    collapseTo(q, false, moved.fold());
 }
 
 void
 StateVector::applyCX(QubitId control, QubitId target)
 {
     touch();
-    const uint64_t cbit = uint64_t{1} << control;
-    const uint64_t tbit = uint64_t{1} << target;
-    // Each swapped pair is visited once via its target=0 member.
-    forEachSetClear(amps_.size(), cbit, tbit, [&](uint64_t i) {
-        std::swap(amps_[i], amps_[i | tbit]);
-    });
+    dense::activeKernels().applyCX(amps_.data(), amps_.size(), control,
+                                   target);
 }
 
 void
@@ -426,11 +664,7 @@ void
 StateVector::applySwap(QubitId a, QubitId b)
 {
     touch();
-    const uint64_t abit = uint64_t{1} << a;
-    const uint64_t bbit = uint64_t{1} << b;
-    forEachSetClear(amps_.size(), abit, bbit, [&](uint64_t i) {
-        std::swap(amps_[i], amps_[(i & ~abit) | bbit]);
-    });
+    dense::activeKernels().applySwap(amps_.data(), amps_.size(), a, b);
 }
 
 void
@@ -561,49 +795,32 @@ StateVector::sample(Rng &rng) const
 }
 
 bool
-StateVector::collapseTo(QubitId q, bool outcome)
+StateVector::collapseTo(QubitId q, bool outcome, double kept)
 {
     touch();
-    const uint64_t dim = amps_.size();
-    const uint64_t bit = uint64_t{1} << q;
-    const uint64_t keep = outcome ? bit : 0;
-    // One pass zeroes the dropped branch and sums the kept one in
-    // ascending index order: exactly the additions norm() makes on
-    // the collapsed state, since each zero adds exactly 0.0.
-    double sum = 0.0;
-    for (uint64_t base = 0; base < dim; base += 2 * bit) {
-        std::fill_n(&amps_[base + bit - keep], bit, Complex{});
-        for (uint64_t i = base + keep; i < base + keep + bit; i++)
-            sum += std::norm(amps_[i]);
-    }
-    rescaleHalf(bit, keep, sum);
-    return outcome;
-}
-
-void
-StateVector::rescaleHalf(uint64_t bit, uint64_t keep, double sum)
-{
-    const double n = std::sqrt(sum);
+    const double n = std::sqrt(kept);
     require(n > 1e-300, "cannot normalize a zero state");
-    const double inv = 1.0 / n;
-    for (uint64_t base = keep; base < amps_.size(); base += 2 * bit) {
-        for (uint64_t i = base; i < base + bit; i++)
-            amps_[i] *= inv;
-    }
+    dense::activeKernels().collapse(amps_.data(), amps_.size(), q,
+                                    outcome, 1.0 / n);
+    return outcome;
 }
 
 bool
 StateVector::measureCollapse(QubitId q, Rng &rng)
 {
-    const double p1 = populationOne(q);
-    return collapseTo(q, rng.bernoulli(p1));
+    const dense::Populations p =
+        dense::activeKernels().populations(amps_.data(), amps_.size(), q);
+    const bool outcome = rng.bernoulli(p.p1);
+    return collapseTo(q, outcome, outcome ? p.p1 : p.p0);
 }
 
 bool
 StateVector::measureCollapse(QubitId q, double uniform_draw)
 {
-    const double p1 = populationOne(q);
-    return collapseTo(q, uniform_draw < p1);
+    const dense::Populations p =
+        dense::activeKernels().populations(amps_.data(), amps_.size(), q);
+    const bool outcome = uniform_draw < p.p1;
+    return collapseTo(q, outcome, outcome ? p.p1 : p.p0);
 }
 
 void
@@ -631,10 +848,9 @@ StateVector::applyAmplitudeDamping(QubitId q, double gamma, Rng &rng)
 double
 StateVector::norm() const
 {
-    double sum = 0.0;
-    for (const Complex &a : amps_)
-        sum += std::norm(a);
-    return std::sqrt(sum);
+    Lanes sum;
+    sum.addPairs(amps_.data(), amps_.size());
+    return std::sqrt(sum.fold());
 }
 
 void
@@ -645,7 +861,7 @@ StateVector::normalize()
     require(n > 1e-300, "cannot normalize a zero state");
     const double inv = 1.0 / n;
     for (Complex &a : amps_)
-        a *= inv;
+        a = {a.real() * inv, a.imag() * inv};
 }
 
 const char *

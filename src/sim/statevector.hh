@@ -138,16 +138,12 @@ class StateVector
     /** Invalidate sampling caches; call before any amplitude write. */
     void touch() { sampleCacheValid_ = false; }
 
-    /** Zero the non-@p outcome branch of qubit @p q and renormalize
-     *  (shared tail of the two measureCollapse overloads). */
-    bool collapseTo(QubitId q, bool outcome);
-
     /**
-     * normalize() for a state whose only nonzero amplitudes have the
-     * @p bit bit equal to @p keep (0 or bit), given @p sum = the
-     * squared norm in norm()'s summation order: rescales that half.
+     * Zero the non-@p outcome branch of qubit @p q and renormalize,
+     * given @p kept = the squared norm of the @p outcome branch summed
+     * in norm()'s lanes: bit-identical to zeroing, then normalize().
      */
-    void rescaleHalf(uint64_t bit, uint64_t keep, double sum);
+    bool collapseTo(QubitId q, bool outcome, double kept);
 
     void buildSampleCache() const;
 

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <initializer_list>
@@ -279,6 +280,104 @@ TEST(DenseKernels, ScalarAndAvx2AreBitIdentical)
                 const double pb = avx2->populationOne(a.data(), dim, q);
                 EXPECT_EQ(std::memcmp(&pa, &pb, sizeof pa), 0)
                     << "populationOne n=" << n << " q=" << q;
+
+                const dense::Populations sa =
+                    scalar.populations(a.data(), dim, q);
+                const dense::Populations sb =
+                    avx2->populations(a.data(), dim, q);
+                EXPECT_EQ(std::memcmp(&sa, &sb, sizeof sa), 0)
+                    << "populations n=" << n << " q=" << q;
+                EXPECT_EQ(std::memcmp(&sa.p1, &pa, sizeof pa), 0)
+                    << "populations p1 n=" << n << " q=" << q;
+
+                const bool outcome = (trial & 1) != 0;
+                const double scale = 1.0 / std::sqrt(outcome ? sa.p1
+                                                             : sa.p0);
+                scalar.collapse(a.data(), dim, q, outcome, scale);
+                avx2->collapse(b.data(), dim, q, outcome, scale);
+                EXPECT_TRUE(sameBits(a, b))
+                    << "collapse n=" << n << " q=" << q;
+            }
+        }
+        if (n < 2)
+            continue;
+        for (QubitId qa = 0; qa < n; qa++) {
+            for (QubitId qb = 0; qb < n; qb++) {
+                if (qa == qb)
+                    continue;
+                const std::vector<Complex> start =
+                    randomAmplitudes(n, rng);
+                std::vector<Complex> a = start, b = start;
+                scalar.applyCX(a.data(), dim, qa, qb);
+                avx2->applyCX(b.data(), dim, qa, qb);
+                EXPECT_TRUE(sameBits(a, b))
+                    << "applyCX n=" << n << " c=" << qa << " t=" << qb;
+                scalar.applySwap(a.data(), dim, qa, qb);
+                avx2->applySwap(b.data(), dim, qa, qb);
+                EXPECT_TRUE(sameBits(a, b))
+                    << "applySwap n=" << n << " a=" << qa << " b=" << qb;
+            }
+        }
+    }
+}
+
+namespace
+{
+
+/** Visit every basis index with @p set_bit set and @p clear_bit
+ *  clear (the canonical member of each two-qubit swap pair). */
+template <typename Fn>
+void
+forEachSetClear(uint64_t dim, uint64_t set_bit, uint64_t clear_bit,
+                Fn &&fn)
+{
+    const uint64_t hi = std::max(set_bit, clear_bit);
+    const uint64_t lo = std::min(set_bit, clear_bit);
+    const uint64_t a0 = set_bit > clear_bit ? hi : 0;
+    const uint64_t b0 = set_bit > clear_bit ? 0 : lo;
+    for (uint64_t a = a0; a < dim; a += 2 * hi) {
+        for (uint64_t b = b0; b < hi; b += 2 * lo) {
+            for (uint64_t i = 0; i < lo; i++)
+                fn(a + b + i);
+        }
+    }
+}
+
+} // namespace
+
+TEST(DenseKernels, CXAndSwapMatchTheIndexPermutation)
+{
+    std::vector<const dense::KernelSet *> sets{&dense::scalarKernels()};
+    if (dense::avx2Kernels() != nullptr)
+        sets.push_back(dense::avx2Kernels());
+    Rng rng(14);
+    for (const int n : kKernelSizes) {
+        const uint64_t dim = uint64_t{1} << n;
+        for (QubitId qa = 0; qa < n; qa++) {
+            for (QubitId qb = 0; qb < n; qb++) {
+                if (qa == qb)
+                    continue;
+                const std::vector<Complex> start =
+                    randomAmplitudes(n, rng);
+                const uint64_t abit = uint64_t{1} << qa;
+                const uint64_t bbit = uint64_t{1} << qb;
+                std::vector<Complex> cx = start, swap = start;
+                forEachSetClear(dim, abit, bbit, [&](uint64_t i) {
+                    std::swap(cx[i], cx[i | bbit]);
+                    std::swap(swap[i], swap[(i & ~abit) | bbit]);
+                });
+                for (const dense::KernelSet *kernels : sets) {
+                    std::vector<Complex> got = start;
+                    kernels->applyCX(got.data(), dim, qa, qb);
+                    EXPECT_TRUE(sameBits(got, cx))
+                        << kernels->isa << " applyCX n=" << n
+                        << " c=" << qa << " t=" << qb;
+                    got = start;
+                    kernels->applySwap(got.data(), dim, qa, qb);
+                    EXPECT_TRUE(sameBits(got, swap))
+                        << kernels->isa << " applySwap n=" << n
+                        << " a=" << qa << " b=" << qb;
+                }
             }
         }
     }
