@@ -2,13 +2,17 @@
  * @file
  * Hardened environment-knob parsing.
  *
- * Every ADAPT_* environment knob goes through these helpers so that
- * garbage, negative, and overflowing values are rejected with a
- * one-line warning (logging.hh) and a documented fallback — instead
- * of strtol's silent 0 / clamp misbehaviors steering thread counts or
- * server limits.  The string parsers are pure functions so tests can
- * exercise every rejection path without touching the process
- * environment.
+ * The tree reads exactly three environment variables, all through
+ * these helpers: ADAPT_NUM_THREADS (common/parallel.cc),
+ * ADAPT_FRAME_BRANCH_DEPTH (noise/compiled.cc, folded into the
+ * program-cache key) and ADAPT_SHARD_WORKER_BIN
+ * (serve/shard_executor.cc).  Everything else is configured in code
+ * through ServerOptions, ShardOptions, FaultConfig and
+ * NoisyMachine::setProgramCache.  Garbage, negative, and overflowing
+ * values are rejected with a one-line warning (logging.hh) and a
+ * documented fallback instead of strtol's silent 0 / clamp.  The
+ * string parsers are pure functions so tests can exercise every
+ * rejection path without touching the process environment.
  */
 
 #ifndef ADAPT_COMMON_ENV_HH
@@ -16,7 +20,6 @@
 
 #include <cerrno>
 #include <cstdlib>
-#include <cstring>
 #include <mutex>
 #include <optional>
 #include <set>
@@ -26,15 +29,6 @@
 
 namespace adapt
 {
-
-/** True when the variable is set at all (any value, including "").
- *  Presence-only switches go through this instead of raw getenv so
- *  every environment read in the tree is greppable via env.hh. */
-inline bool
-envPresent(const char *name)
-{
-    return std::getenv(name) != nullptr;
-}
 
 /** Raw value pointer (nullptr when unset), for sites that need the
  *  live uninterpreted text — e.g. cache-fingerprint folds — rather
@@ -48,9 +42,8 @@ envText(const char *name)
 /**
  * Emit @p message through warn() at most once per distinct @p key for
  * the process lifetime.  Knob rejections key on name + "=" + value:
- * a server re-reading a malformed knob every submission warns once
- * instead of flooding the log, while a *changed* (still malformed)
- * value warns again.
+ * a malformed knob read on every call warns once instead of flooding
+ * the log, while a *changed* (still malformed) value warns again.
  */
 inline void
 warnOnce(const std::string &key, const std::string &message)
@@ -79,20 +72,6 @@ parseInt(const char *text)
     errno = 0;
     char *end = nullptr;
     const long long value = std::strtoll(text, &end, 10);
-    if (end == text || *end != '\0' || errno == ERANGE)
-        return std::nullopt;
-    return value;
-}
-
-/** Strict finite decimal parse; nullopt on garbage / overflow. */
-inline std::optional<double>
-parseDouble(const char *text)
-{
-    if (text == nullptr || *text == '\0')
-        return std::nullopt;
-    errno = 0;
-    char *end = nullptr;
-    const double value = std::strtod(text, &end);
     if (end == text || *end != '\0' || errno == ERANGE)
         return std::nullopt;
     return value;
@@ -135,58 +114,6 @@ envInt(const char *name, long long fallback, long long lo,
     if (text == nullptr)
         return fallback;
     return parseIntKnob(name, text, lo, hi).value_or(fallback);
-}
-
-/**
- * Parse an on/off knob value: "1"/"on"/"true" -> true, "0"/"off"/
- * "false" -> false, anything else nullopt after a warning.
- */
-inline std::optional<bool>
-parseFlagKnob(const char *name, const char *text)
-{
-    if (text == nullptr)
-        return std::nullopt;
-    if (std::strcmp(text, "1") == 0 || std::strcmp(text, "on") == 0 ||
-        std::strcmp(text, "true") == 0) {
-        return true;
-    }
-    if (std::strcmp(text, "0") == 0 || std::strcmp(text, "off") == 0 ||
-        std::strcmp(text, "false") == 0) {
-        return false;
-    }
-    warnOnce(std::string(name) + "=" + text,
-             std::string(name) + "=\"" + text +
-                 "\" is not one of 1/on/true/0/off/false; ignoring it");
-    return std::nullopt;
-}
-
-/** Boolean environment knob; unset or unrecognized (warned) values
- *  fall back to @p fallback. */
-inline bool
-envFlag(const char *name, bool fallback)
-{
-    const char *text = std::getenv(name);
-    if (text == nullptr)
-        return fallback;
-    return parseFlagKnob(name, text).value_or(fallback);
-}
-
-/** Probability environment knob in [0, 1]; garbage or out-of-range
- *  values warn and fall back. */
-inline double
-envProbability(const char *name, double fallback)
-{
-    const char *text = std::getenv(name);
-    if (text == nullptr)
-        return fallback;
-    const std::optional<double> parsed = parseDouble(text);
-    if (!parsed.has_value() || *parsed < 0.0 || *parsed > 1.0) {
-        warnOnce(std::string(name) + "=" + text,
-                 std::string(name) + "=\"" + text +
-                     "\" is not a probability in [0, 1]; ignoring it");
-        return fallback;
-    }
-    return *parsed;
 }
 
 } // namespace adapt

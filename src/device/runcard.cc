@@ -160,11 +160,13 @@ double
 numField(const ParseCtx &ctx, const std::string &field,
          const std::string &token, Check check)
 {
-    const std::optional<double> v = parseDouble(token.c_str());
-    if (!v.has_value())
+    errno = 0;
+    char *end = nullptr;
+    const double v = std::strtod(token.c_str(), &end);
+    if (end == token.c_str() || *end != '\0' || errno == ERANGE)
         ctx.fail(field, "'" + token + "' is not a number");
-    checkValue(ctx, field, *v, check);
-    return *v;
+    checkValue(ctx, field, v, check);
+    return v;
 }
 
 uint64_t

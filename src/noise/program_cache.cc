@@ -174,16 +174,9 @@ ProgramCache::clear()
 ProgramCache *
 ProgramCache::processShared()
 {
-    // Env is sampled once: the shared cache's existence and size are
-    // process lifetime decisions (tests that need isolation install
-    // their own instance via NoisyMachine::setProgramCache).
-    static ProgramCache *shared = []() -> ProgramCache * {
-        if (!envFlag("ADAPT_PROGRAM_CACHE", true))
-            return nullptr;
-        const auto cap = static_cast<size_t>(
-            envInt("ADAPT_PROGRAM_CACHE_CAP", 64, 1, 1 << 20));
-        return new ProgramCache(cap);
-    }();
+    // Never destroyed, so machines torn down during static
+    // destruction can still reach it.
+    static ProgramCache *const shared = new ProgramCache(64);
     return shared;
 }
 

@@ -12,12 +12,9 @@
  * the skeletons are cached under a fingerprint of those inputs and
  * only the cheap bind phase runs per (device, cycle).
  *
- * Knobs (strict parsers, warn-once on malformed values):
- *   ADAPT_PROGRAM_CACHE      on/off, default on — "off" makes
- *                            ProgramCache::processShared() return
- *                            nullptr so every prepare compiles cold.
- *   ADAPT_PROGRAM_CACHE_CAP  LRU capacity in skeletons, default 64,
- *                            clamped to [1, 1048576].
+ * Every NoisyMachine starts on the process-shared 64-skeleton cache;
+ * NoisyMachine::setProgramCache installs another instance, or nullptr
+ * to compile every prepare cold.
  */
 
 #ifndef ADAPT_NOISE_PROGRAM_CACHE_HH
@@ -99,11 +96,8 @@ class ProgramCache
     /** Drop every entry (stats counters are kept). */
     void clear();
 
-    /**
-     * The process-wide instance every NoisyMachine picks up by
-     * default, sized by ADAPT_PROGRAM_CACHE_CAP; nullptr when
-     * ADAPT_PROGRAM_CACHE=off.  Env is read once, at first use.
-     */
+    /** The process-wide instance every NoisyMachine picks up by
+     *  default: 64 skeletons, never nullptr. */
     static ProgramCache *processShared();
 
   private:

@@ -6,7 +6,6 @@
 #include <new>
 #include <thread>
 
-#include "common/env.hh"
 #include "common/rng.hh"
 
 namespace adapt::serve
@@ -88,33 +87,6 @@ FaultInjector::configure(FaultConfig cfg)
     i.config = std::make_shared<const FaultConfig>(std::move(cfg));
     for (std::atomic<uint64_t> &count : i.fired)
         count.store(0, std::memory_order_relaxed);
-}
-
-void
-FaultInjector::loadEnv()
-{
-    FaultConfig cfg;
-    cfg.seed = static_cast<uint64_t>(
-        envInt("ADAPT_FAULT_SEED", 0, 0, INT64_MAX));
-    cfg.probability[static_cast<int>(FaultSite::JobFailure)] =
-        envProbability("ADAPT_FAULT_P_JOBFAIL", 0.0);
-    cfg.probability[static_cast<int>(FaultSite::WorkerStall)] =
-        envProbability("ADAPT_FAULT_P_STALL", 0.0);
-    cfg.probability[static_cast<int>(FaultSite::AllocFailure)] =
-        envProbability("ADAPT_FAULT_P_ALLOC", 0.0);
-    cfg.probability[static_cast<int>(FaultSite::AdmitReject)] =
-        envProbability("ADAPT_FAULT_P_REJECT", 0.0);
-    cfg.probability[static_cast<int>(FaultSite::WorkerCrash)] =
-        envProbability("ADAPT_FAULT_P_CRASH", 0.0);
-    cfg.probability[static_cast<int>(FaultSite::LeaseStall)] =
-        envProbability("ADAPT_FAULT_P_LEASE_STALL", 0.0);
-    cfg.probability[static_cast<int>(FaultSite::FrameCorrupt)] =
-        envProbability("ADAPT_FAULT_P_CORRUPT", 0.0);
-    cfg.probability[static_cast<int>(FaultSite::ExecFailure)] =
-        envProbability("ADAPT_FAULT_P_EXECFAIL", 0.0);
-    cfg.stallMs =
-        static_cast<int>(envInt("ADAPT_FAULT_STALL_MS", 10, 0, 60000));
-    configure(std::move(cfg));
 }
 
 bool

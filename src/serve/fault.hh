@@ -19,10 +19,9 @@
  * for allocation failures, the admission sequence number for forced
  * rejections.
  *
- * Tests configure the harness programmatically (configure()/reset());
- * operators can key a schedule into a whole process via the
- * environment (loadEnv(), ADAPT_FAULT_* knobs) to storm a server
- * without touching code.
+ * The harness is configured in code only (configure()/reset()); the
+ * shard coordinator ships the installed FaultConfig to its workers in
+ * every SUBMIT frame.
  */
 
 #ifndef ADAPT_SERVE_FAULT_HH
@@ -116,24 +115,6 @@ class FaultInjector
 
     /** Disarm everything (the default state). */
     void reset() { configure(FaultConfig{}); }
-
-    /**
-     * Install a schedule from the environment:
-     *   ADAPT_FAULT_SEED       (uint, 0 = disabled)
-     *   ADAPT_FAULT_P_JOBFAIL  (probability)
-     *   ADAPT_FAULT_P_STALL    (probability)
-     *   ADAPT_FAULT_P_ALLOC    (probability)
-     *   ADAPT_FAULT_P_REJECT   (probability)
-     *   ADAPT_FAULT_P_CRASH    (probability, worker crash mid-lease)
-     *   ADAPT_FAULT_P_LEASE_STALL (probability, heartbeat stall)
-     *   ADAPT_FAULT_P_CORRUPT  (probability, corrupted result frame)
-     *   ADAPT_FAULT_P_EXECFAIL (probability, worker spawn failure)
-     *   ADAPT_FAULT_STALL_MS   (int >= 0, default 10)
-     * Values are parsed through common/env.hh (garbage warns and
-     * falls back).  Without ADAPT_FAULT_SEED the harness stays
-     * disarmed.
-     */
-    void loadEnv();
 
     bool enabled() const;
 

@@ -37,33 +37,6 @@ jobStateName(JobState state)
     return "unknown";
 }
 
-ServerOptions
-ServerOptions::fromEnv()
-{
-    ServerOptions opts;
-    opts.workers = static_cast<int>(
-        envInt("ADAPT_SERVER_WORKERS", opts.workers, 1, 1024));
-    opts.queueDepth = static_cast<int>(
-        envInt("ADAPT_SERVER_QUEUE_DEPTH", opts.queueDepth, 1,
-               1 << 20));
-    opts.maxTenants = static_cast<int>(
-        envInt("ADAPT_SERVER_MAX_TENANTS", opts.maxTenants, 1,
-               1 << 20));
-    opts.threadsPerJob = static_cast<int>(
-        envInt("ADAPT_SERVER_JOB_THREADS", opts.threadsPerJob, 1,
-               1024));
-    opts.defaultTimeout = std::chrono::milliseconds(
-        envInt("ADAPT_SERVER_TIMEOUT_MS", opts.defaultTimeout.count(),
-               0, 86400000));
-    opts.maxRetries = static_cast<int>(
-        envInt("ADAPT_SERVER_MAX_RETRIES", opts.maxRetries, 0, 1000));
-    opts.backoffBase = std::chrono::milliseconds(
-        envInt("ADAPT_SERVER_BACKOFF_MS", opts.backoffBase.count(), 1,
-               60000));
-    opts.shard = ShardOptions::fromEnv();
-    return opts;
-}
-
 namespace
 {
 
@@ -362,15 +335,9 @@ struct JobServer::Impl
 
 JobServer::JobServer(const NoisyMachine &machine, ServerOptions opts)
 {
-    // Operators key a fault schedule into the process via the
-    // environment; without ADAPT_FAULT_SEED any programmatic
-    // configure() installed by a test harness is left untouched.
-    if (envPresent("ADAPT_FAULT_SEED"))
-        FaultInjector::global().loadEnv();
-    // Programmatic options bypass fromEnv()'s range checks; a zero or
-    // negative pool/queue would deadlock submitters or reject every
-    // job, so fall back to the documented defaults instead of
-    // silently reinterpreting the value.
+    // A zero or negative pool/queue would deadlock submitters or
+    // reject every job, so fall back to the documented defaults
+    // instead of silently reinterpreting the value.
     if (opts.workers <= 0) {
         warnOnce("server-workers-invalid",
                  "ServerOptions.workers=" +

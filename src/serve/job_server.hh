@@ -142,7 +142,8 @@ struct TenantStats
     uint64_t completed = 0; //!< any terminal state
 };
 
-/** Tuning; fromEnv() layers ADAPT_SERVER_* knobs over the defaults. */
+/** Tuning.  The only way to configure a JobServer: no field is read
+ *  from the environment. */
 struct ServerOptions
 {
     int workers = 2;          //!< dispatcher threads
@@ -165,20 +166,6 @@ struct ServerOptions
      *  shard.workers == 0 (the default) keeps every job on the
      *  in-process path, untouched. */
     ShardOptions shard;
-
-    /**
-     * Defaults overlaid with the environment:
-     *   ADAPT_SERVER_WORKERS      (int >= 1)
-     *   ADAPT_SERVER_QUEUE_DEPTH  (int >= 1)
-     *   ADAPT_SERVER_MAX_TENANTS  (int >= 1)
-     *   ADAPT_SERVER_JOB_THREADS  (int >= 1)
-     *   ADAPT_SERVER_TIMEOUT_MS   (int >= 0, 0 = none)
-     *   ADAPT_SERVER_MAX_RETRIES  (int >= 0)
-     *   ADAPT_SERVER_BACKOFF_MS   (int >= 1)
-     * plus the ADAPT_SHARD_* knobs via ShardOptions::fromEnv().
-     * Garbage values warn (common/env.hh) and keep the default.
-     */
-    static ServerOptions fromEnv();
 };
 
 /**
@@ -193,7 +180,7 @@ class JobServer
     /** Spawns opts.workers dispatcher threads (paused if asked).
      *  @p machine must outlive the server. */
     explicit JobServer(const NoisyMachine &machine,
-                       ServerOptions opts = ServerOptions::fromEnv());
+                       ServerOptions opts = ServerOptions{});
 
     /** shutdown() and join. */
     ~JobServer();

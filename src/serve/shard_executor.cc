@@ -26,44 +26,27 @@
 namespace adapt::serve
 {
 
-ShardOptions
-ShardOptions::fromEnv()
-{
-    ShardOptions opts;
-    opts.workers = static_cast<int>(
-        envInt("ADAPT_SHARD_WORKERS", opts.workers, 0, 256));
-    opts.leaseBlocks = envInt("ADAPT_SHARD_LEASE_BLOCKS",
-                              opts.leaseBlocks, 1, 1 << 20);
-    opts.heartbeatMs = static_cast<int>(
-        envInt("ADAPT_SHARD_HEARTBEAT_MS", opts.heartbeatMs, 10,
-               600000));
-    opts.maxLeaseAttempts = static_cast<int>(
-        envInt("ADAPT_SHARD_MAX_ATTEMPTS", opts.maxLeaseAttempts, 1,
-               100));
-    opts.maxRestarts = static_cast<int>(
-        envInt("ADAPT_SHARD_MAX_RESTARTS", opts.maxRestarts, 0, 10000));
-    if (const char *bin = envText("ADAPT_SHARD_WORKER_BIN"))
-        opts.workerBinary = bin;
-    return opts;
-}
-
 namespace
 {
 
 using Clock = std::chrono::steady_clock;
 using Items = std::vector<std::pair<uint64_t, uint64_t>>;
 
-/** Resolve the worker binary: explicit option, then the env knob,
- *  then `adapt_shard_worker` next to (or up to two directories
- *  above) the running executable — which covers tests running from
- *  build/tests and benches from build/bench with the worker at the
- *  build root. */
+/** Resolve the worker binary: explicit option, then
+ *  ADAPT_SHARD_WORKER_BIN, then `adapt_shard_worker` next to (or up
+ *  to two directories above) the running executable — which covers
+ *  tests running from build/tests and benches from build/bench with
+ *  the worker at the build root. */
 std::string
-resolveWorkerBinary(const std::string &configured)
+resolveWorkerBinary(std::string configured)
 {
     const auto usable = [](const std::string &path) {
         return !path.empty() && ::access(path.c_str(), X_OK) == 0;
     };
+    if (configured.empty()) {
+        if (const char *bin = envText("ADAPT_SHARD_WORKER_BIN"))
+            configured = bin;
+    }
     if (!configured.empty())
         return usable(configured) ? configured : std::string();
     char buf[4096];
@@ -84,6 +67,39 @@ resolveWorkerBinary(const std::string &configured)
             return cand;
     }
     return {};
+}
+
+/** @p opts with every out-of-range field replaced by its default
+ *  (warned once per field), as JobServer does for its pool and queue
+ *  sizes: a leaseBlocks of 0 would never advance the lease loop. */
+ShardOptions
+validated(ShardOptions opts)
+{
+    const ShardOptions defaults;
+    const auto reset = [](auto &field, auto fallback, const char *name,
+                          const char *rule) {
+        warnOnce(std::string("shard-") + name + "-invalid",
+                 std::string("ShardOptions.") + name + "=" +
+                     std::to_string(field) + " invalid (must be " +
+                     rule + "); using default " +
+                     std::to_string(fallback));
+        field = fallback;
+    };
+    if (opts.workers < 0 || opts.workers > 256)
+        reset(opts.workers, defaults.workers, "workers", "in [0, 256]");
+    if (opts.leaseBlocks < 1)
+        reset(opts.leaseBlocks, defaults.leaseBlocks, "leaseBlocks",
+              ">= 1");
+    if (opts.heartbeatMs < 10)
+        reset(opts.heartbeatMs, defaults.heartbeatMs, "heartbeatMs",
+              ">= 10");
+    if (opts.maxLeaseAttempts < 1)
+        reset(opts.maxLeaseAttempts, defaults.maxLeaseAttempts,
+              "maxLeaseAttempts", ">= 1");
+    if (opts.maxRestarts < 0)
+        reset(opts.maxRestarts, defaults.maxRestarts, "maxRestarts",
+              ">= 0");
+    return opts;
 }
 
 /** One live worker process (a slot in the pool). */
@@ -161,12 +177,12 @@ struct ShardExecutor::Impl
     ShardStats stats;
 
     Impl(const NoisyMachine &m, ShardOptions o)
-        : machine(m), opts(std::move(o)),
+        : machine(m), opts(validated(std::move(o))),
           binary(opts.workers > 0
                      ? resolveWorkerBinary(opts.workerBinary)
                      : std::string())
     {
-        slots.resize(static_cast<size_t>(std::max(0, opts.workers)));
+        slots.resize(static_cast<size_t>(opts.workers));
     }
 
     bool available() const

@@ -69,7 +69,10 @@
 namespace adapt::serve
 {
 
-/** Pool tuning; fromEnv() layers ADAPT_SHARD_* knobs on defaults. */
+/** Pool tuning, set in code only.  ShardExecutor replaces an
+ *  out-of-range field (workers outside [0, 256], leaseBlocks < 1,
+ *  heartbeatMs < 10, maxLeaseAttempts < 1, maxRestarts < 0) with its
+ *  default after a one-time warning. */
 struct ShardOptions
 {
     /** Worker processes; 0 disables the executor entirely (the
@@ -94,18 +97,6 @@ struct ShardOptions
      *  `adapt_shard_worker` next to (or one/two levels above) the
      *  running executable. */
     std::string workerBinary;
-
-    /**
-     * Defaults overlaid with the environment:
-     *   ADAPT_SHARD_WORKERS       (int >= 0, 0 = disabled)
-     *   ADAPT_SHARD_LEASE_BLOCKS  (int >= 1)
-     *   ADAPT_SHARD_HEARTBEAT_MS  (int >= 10)
-     *   ADAPT_SHARD_MAX_ATTEMPTS  (int >= 1)
-     *   ADAPT_SHARD_MAX_RESTARTS  (int >= 0)
-     *   ADAPT_SHARD_WORKER_BIN    (path)
-     * Garbage values warn (common/env.hh) and keep the default.
-     */
-    static ShardOptions fromEnv();
 };
 
 /** Recovery metrics (monotonic since construction). */

@@ -823,28 +823,6 @@ StateVector::measureCollapse(QubitId q, double uniform_draw)
     return collapseTo(q, outcome, outcome ? p.p1 : p.p0);
 }
 
-void
-StateVector::applyAmplitudeDamping(QubitId q, double gamma, Rng &rng)
-{
-    require(gamma >= 0.0 && gamma <= 1.0,
-            "amplitude damping gamma must be a probability");
-    if (gamma <= 0.0)
-        return;
-    const double p1 = populationOne(q);
-    const double p_decay = gamma * p1;
-    if (rng.bernoulli(p_decay)) {
-        // K1 branch: |1> component collapses to |0>.
-        applyDecayJump(q);
-        return;
-    }
-    // K0 branch: |1> component shrinks by sqrt(1 - gamma).
-    touch();
-    const double scale = std::sqrt(1.0 - gamma);
-    forEachSet(amps_.size(), uint64_t{1} << q,
-               [&](uint64_t i) { amps_[i] *= scale; });
-    normalize();
-}
-
 double
 StateVector::norm() const
 {

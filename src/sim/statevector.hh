@@ -121,16 +121,6 @@ class StateVector
      */
     bool measureCollapse(QubitId q, double uniform_draw);
 
-    /**
-     * Amplitude-damping trajectory step on one qubit: with the
-     * physically correct branch probabilities either the decay Kraus
-     * K1 (|1> -> |0>) or the no-decay Kraus K0 fires; the state is
-     * re-normalized.
-     *
-     * @param gamma Decay probability 1 - exp(-t / T1) for the step.
-     */
-    void applyAmplitudeDamping(QubitId q, double gamma, Rng &rng);
-
     double norm() const;
     void normalize();
 

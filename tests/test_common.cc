@@ -473,17 +473,6 @@ TEST(EnvParse, ParseIntAcceptsOnlyWholeIntegers)
     EXPECT_FALSE(parseInt("-99999999999999999999999").has_value());
 }
 
-TEST(EnvParse, ParseDoubleRejectsGarbageAndOverflow)
-{
-    EXPECT_DOUBLE_EQ(parseDouble("0.25").value(), 0.25);
-    EXPECT_DOUBLE_EQ(parseDouble("-1e-3").value(), -1e-3);
-    EXPECT_FALSE(parseDouble(nullptr).has_value());
-    EXPECT_FALSE(parseDouble("").has_value());
-    EXPECT_FALSE(parseDouble("zero").has_value());
-    EXPECT_FALSE(parseDouble("0.5x").has_value());
-    EXPECT_FALSE(parseDouble("1e999").has_value());
-}
-
 TEST(EnvParse, ParseIntKnobEnforcesRange)
 {
     EXPECT_EQ(parseIntKnob("K", "8", 1, 16).value(), 8);
@@ -491,19 +480,6 @@ TEST(EnvParse, ParseIntKnobEnforcesRange)
     EXPECT_FALSE(parseIntKnob("K", "17", 1, 16).has_value());
     EXPECT_FALSE(parseIntKnob("K", "-3", 1, 16).has_value());
     EXPECT_FALSE(parseIntKnob("K", "junk", 1, 16).has_value());
-}
-
-TEST(EnvParse, ParseFlagKnobAcceptsCanonicalSpellings)
-{
-    EXPECT_TRUE(parseFlagKnob("F", "1").value());
-    EXPECT_TRUE(parseFlagKnob("F", "on").value());
-    EXPECT_TRUE(parseFlagKnob("F", "true").value());
-    EXPECT_FALSE(parseFlagKnob("F", "0").value());
-    EXPECT_FALSE(parseFlagKnob("F", "off").value());
-    EXPECT_FALSE(parseFlagKnob("F", "false").value());
-    EXPECT_FALSE(parseFlagKnob("F", "yes").has_value());
-    EXPECT_FALSE(parseFlagKnob("F", "2").has_value());
-    EXPECT_FALSE(parseFlagKnob("F", nullptr).has_value());
 }
 
 TEST(EnvParse, EnvHelpersFallBackOnGarbage)
@@ -517,20 +493,4 @@ TEST(EnvParse, EnvHelpersFallBackOnGarbage)
     setenv("ADAPT_TEST_KNOB", "99999999999999999999", 1);
     EXPECT_EQ(envInt("ADAPT_TEST_KNOB", 5, 1, 100), 5);
     unsetenv("ADAPT_TEST_KNOB");
-    EXPECT_EQ(envInt("ADAPT_TEST_KNOB", 5, 1, 100), 5);
-
-    setenv("ADAPT_TEST_FLAG", "on", 1);
-    EXPECT_TRUE(envFlag("ADAPT_TEST_FLAG", false));
-    setenv("ADAPT_TEST_FLAG", "maybe", 1);
-    EXPECT_TRUE(envFlag("ADAPT_TEST_FLAG", true));
-    EXPECT_FALSE(envFlag("ADAPT_TEST_FLAG", false));
-    unsetenv("ADAPT_TEST_FLAG");
-
-    setenv("ADAPT_TEST_P", "0.75", 1);
-    EXPECT_DOUBLE_EQ(envProbability("ADAPT_TEST_P", 0.1), 0.75);
-    setenv("ADAPT_TEST_P", "1.5", 1);
-    EXPECT_DOUBLE_EQ(envProbability("ADAPT_TEST_P", 0.1), 0.1);
-    setenv("ADAPT_TEST_P", "-0.1", 1);
-    EXPECT_DOUBLE_EQ(envProbability("ADAPT_TEST_P", 0.1), 0.1);
-    unsetenv("ADAPT_TEST_P");
 }

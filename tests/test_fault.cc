@@ -24,7 +24,6 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <cstdlib>
 #include <thread>
 #include <vector>
 
@@ -83,6 +82,18 @@ TEST_F(FaultTest, DisabledHarnessNeverFires)
     for (uint64_t key = 0; key < 64; key++)
         EXPECT_FALSE(FaultInjector::global().fires(
             FaultSite::JobFailure, key));
+
+    // Armed, probability 1.0 fires at every key.
+    cfg.seed = 5;
+    cfg.probability[static_cast<int>(FaultSite::ExecFailure)] = 1.0;
+    FaultInjector::global().configure(cfg);
+    for (const uint64_t key : {uint64_t{0}, uint64_t{1}, uint64_t{63},
+                               uint64_t{12345}, faultKey(3, 1)}) {
+        EXPECT_TRUE(
+            FaultInjector::global().fires(FaultSite::JobFailure, key));
+        EXPECT_TRUE(
+            FaultInjector::global().fires(FaultSite::ExecFailure, key));
+    }
 }
 
 TEST_F(FaultTest, ScheduleIsAPureFunctionOfSeedSiteKey)
@@ -145,31 +156,6 @@ TEST_F(FaultTest, ForcedPointsFireExactlyAndAreCounted)
     EXPECT_EQ(inj.firedCount(FaultSite::JobFailure), 1u);
     inj.maybeFailJob(43); // quiet point: no throw
     EXPECT_EQ(inj.firedCount(FaultSite::JobFailure), 1u);
-}
-
-TEST_F(FaultTest, LoadEnvKeysTheScheduleFromTheEnvironment)
-{
-    setenv("ADAPT_FAULT_SEED", "77", 1);
-    setenv("ADAPT_FAULT_P_JOBFAIL", "0.25", 1);
-    FaultInjector &inj = FaultInjector::global();
-    inj.loadEnv();
-    unsetenv("ADAPT_FAULT_SEED");
-    unsetenv("ADAPT_FAULT_P_JOBFAIL");
-
-    EXPECT_TRUE(inj.enabled());
-    std::vector<bool> schedule;
-    for (uint64_t key = 0; key < 64; key++)
-        schedule.push_back(inj.fires(FaultSite::JobFailure, key));
-
-    FaultConfig cfg;
-    cfg.seed = 77;
-    cfg.probability[static_cast<int>(FaultSite::JobFailure)] = 0.25;
-    cfg.stallMs = 10;
-    inj.configure(cfg);
-    for (uint64_t key = 0; key < 64; key++)
-        EXPECT_EQ(inj.fires(FaultSite::JobFailure, key),
-                  schedule[key])
-            << key;
 }
 
 // --------------------------------------------- server under faults
@@ -576,39 +562,8 @@ TEST_F(FaultTest, FaultConfigWireRoundTripReplaysTheSchedule)
     EXPECT_TRUE(
         injector.fires(FaultSite::LeaseStall, faultKey(3, 1)));
     EXPECT_TRUE(injector.fires(FaultSite::ExecFailure, 2));
-}
 
-TEST_F(FaultTest, LoadEnvReadsTheProcessLevelKnobs)
-{
-    setenv("ADAPT_FAULT_SEED", "5", 1);
-    setenv("ADAPT_FAULT_P_CRASH", "0.5", 1);
-    setenv("ADAPT_FAULT_P_LEASE_STALL", "0.25", 1);
-    setenv("ADAPT_FAULT_P_CORRUPT", "0.125", 1);
-    setenv("ADAPT_FAULT_P_EXECFAIL", "1.0", 1);
-    FaultInjector::global().loadEnv();
-    unsetenv("ADAPT_FAULT_SEED");
-    unsetenv("ADAPT_FAULT_P_CRASH");
-    unsetenv("ADAPT_FAULT_P_LEASE_STALL");
-    unsetenv("ADAPT_FAULT_P_CORRUPT");
-    unsetenv("ADAPT_FAULT_P_EXECFAIL");
-
-    const FaultConfig cfg = FaultInjector::global().config();
-    EXPECT_EQ(cfg.seed, 5u);
-    EXPECT_EQ(
-        cfg.probability[static_cast<int>(FaultSite::WorkerCrash)],
-        0.5);
-    EXPECT_EQ(
-        cfg.probability[static_cast<int>(FaultSite::LeaseStall)],
-        0.25);
-    EXPECT_EQ(
-        cfg.probability[static_cast<int>(FaultSite::FrameCorrupt)],
-        0.125);
-    EXPECT_EQ(
-        cfg.probability[static_cast<int>(FaultSite::ExecFailure)],
-        1.0);
-    // probability 1.0 fires everywhere; distinct site names resolve.
-    EXPECT_TRUE(FaultInjector::global().fires(FaultSite::ExecFailure,
-                                              12345));
+    // The four process-level sites resolve to distinct names.
     EXPECT_STREQ(faultSiteName(FaultSite::WorkerCrash),
                  "worker-crash");
     EXPECT_STREQ(faultSiteName(FaultSite::LeaseStall), "lease-stall");

@@ -229,6 +229,12 @@ TEST(Runcard, MalformedCardsAreHardUsageErrors)
         {"garbage numeric value",
          "name x\nqubits 2\n[profile]\nmean_t1_us fast\n",
          "not a number"},
+        {"trailing junk after a number",
+         "name x\nqubits 2\n[profile]\nmean_t1_us 50x\n",
+         "not a number"},
+        {"overflowing numeric value",
+         "name x\nqubits 2\n[profile]\nmean_t1_us 1e999\n",
+         "not a number"},
         {"unknown profile key",
          "name x\nqubits 2\n[profile]\nmean_warp_factor 9\n",
          "unknown [profile] key"},

@@ -27,7 +27,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <thread>
 #include <vector>
 
@@ -669,28 +668,7 @@ TEST_F(ServeTest, TenantStatsCount)
     EXPECT_EQ(server.tenantStats("nobody").submitted, 0u);
 }
 
-// ---------------------------------------------- ServerOptions::fromEnv
-
-TEST_F(ServeTest, ServerOptionsFromEnvParsesAndFallsBack)
-{
-    setenv("ADAPT_SERVER_WORKERS", "7", 1);
-    setenv("ADAPT_SERVER_QUEUE_DEPTH", "11", 1);
-    setenv("ADAPT_SERVER_TIMEOUT_MS", "250", 1);
-    setenv("ADAPT_SERVER_MAX_RETRIES", "garbage", 1); // warns, default
-    setenv("ADAPT_SERVER_BACKOFF_MS", "-3", 1);       // warns, default
-    const ServerOptions opts = ServerOptions::fromEnv();
-    unsetenv("ADAPT_SERVER_WORKERS");
-    unsetenv("ADAPT_SERVER_QUEUE_DEPTH");
-    unsetenv("ADAPT_SERVER_TIMEOUT_MS");
-    unsetenv("ADAPT_SERVER_MAX_RETRIES");
-    unsetenv("ADAPT_SERVER_BACKOFF_MS");
-
-    EXPECT_EQ(opts.workers, 7);
-    EXPECT_EQ(opts.queueDepth, 11);
-    EXPECT_EQ(opts.defaultTimeout, 250ms);
-    EXPECT_EQ(opts.maxRetries, ServerOptions{}.maxRetries);
-    EXPECT_EQ(opts.backoffBase, ServerOptions{}.backoffBase);
-}
+// ------------------------------------------------- ServerOptions
 
 TEST_F(ServeTest, InvalidProgrammaticOptionsFallBackToDefaults)
 {
@@ -698,9 +676,9 @@ TEST_F(ServeTest, InvalidProgrammaticOptionsFallBackToDefaults)
     const NoisyMachine machine(d);
     const PreparedCircuit prepared = denseJob(machine, d);
 
-    // Programmatic options bypass fromEnv()'s range checks; a zero or
-    // negative pool / queue depth must warn and fall back to the
-    // documented defaults (not deadlock, not reject everything).
+    // A zero or negative pool / queue depth must warn and fall back
+    // to the documented defaults (not deadlock, not reject
+    // everything).
     ServerOptions opts;
     opts.workers = 0;
     opts.queueDepth = -5;

@@ -16,7 +16,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <string>
 #include <utility>
 #include <vector>
@@ -713,28 +712,41 @@ TEST_F(ShardTest, JobServerWithoutSchedKeepsInProcessPath)
 
 // --------------------------------------------------------- options
 
-TEST_F(ShardTest, ShardOptionsFromEnvRejectsGarbage)
+TEST_F(ShardTest, OutOfRangeOptionsFallBackToDefaults)
 {
-    ::setenv("ADAPT_SHARD_WORKERS", "not-a-number", 1);
-    ::setenv("ADAPT_SHARD_LEASE_BLOCKS", "-3", 1);
-    ::setenv("ADAPT_SHARD_HEARTBEAT_MS", "5", 1); // below floor of 10
-    const ShardOptions opts = ShardOptions::fromEnv();
-    ::unsetenv("ADAPT_SHARD_WORKERS");
-    ::unsetenv("ADAPT_SHARD_LEASE_BLOCKS");
-    ::unsetenv("ADAPT_SHARD_HEARTBEAT_MS");
-    const ShardOptions defaults;
-    EXPECT_EQ(opts.workers, defaults.workers);
-    EXPECT_EQ(opts.leaseBlocks, defaults.leaseBlocks);
-    EXPECT_EQ(opts.heartbeatMs, defaults.heartbeatMs);
-}
+    const Device d = Device::ibmqRome();
+    const NoisyMachine machine(d);
+    const JobUnderTest job = denseJob(machine, d);
+    constexpr int kShots = 700;
 
-TEST_F(ShardTest, ShardOptionsFromEnvAcceptsValidKnobs)
-{
-    ::setenv("ADAPT_SHARD_WORKERS", "4", 1);
-    ::setenv("ADAPT_SHARD_LEASE_BLOCKS", "8", 1);
-    const ShardOptions opts = ShardOptions::fromEnv();
-    ::unsetenv("ADAPT_SHARD_WORKERS");
-    ::unsetenv("ADAPT_SHARD_LEASE_BLOCKS");
-    EXPECT_EQ(opts.workers, 4);
-    EXPECT_EQ(opts.leaseBlocks, 8);
+    // A zero-block lease would never advance the lease loop, a 5 ms
+    // heartbeat would kill healthy workers, and zero attempts or a
+    // negative restart budget would quarantine or starve every lease.
+    // Each must warn and fall back to its default.
+    ShardOptions opts = poolOf(2);
+    opts.leaseBlocks = 0;
+    opts.heartbeatMs = 5;
+    opts.maxLeaseAttempts = 0;
+    opts.maxRestarts = -1;
+    ShardExecutor exec(machine, opts);
+    ASSERT_TRUE(exec.available());
+    const RunOutcome out =
+        exec.runSharded(job.prepared, job.sched, kShots, 5);
+    EXPECT_FALSE(out.partial);
+    EXPECT_EQ(out.shotsDone, kShots);
+    EXPECT_TRUE(distributionsIdentical(
+        out.dist, machine.run(job.prepared, kShots, 5)));
+
+    const int64_t blocks = machine.shardBlockCount(job.prepared, kShots);
+    const int64_t lease = ShardOptions{}.leaseBlocks;
+    const ShardStats s = exec.stats();
+    EXPECT_EQ(s.leasesCompleted,
+              static_cast<uint64_t>((blocks + lease - 1) / lease));
+    EXPECT_EQ(s.leasesReassigned, 0u);
+    EXPECT_EQ(s.leasesQuarantined, 0u);
+    EXPECT_EQ(s.workersStalled, 0u);
+
+    // Pool sizes outside [0, 256] fall back to 0: sharding is off.
+    EXPECT_FALSE(ShardExecutor(machine, poolOf(257)).available());
+    EXPECT_FALSE(ShardExecutor(machine, poolOf(-1)).available());
 }

@@ -138,29 +138,6 @@ TEST(StateVec, MeasureCollapseProjects)
     EXPECT_NEAR(ones / 500.0, 0.5, 0.08);
 }
 
-TEST(StateVec, AmplitudeDampingDecaysExcitedState)
-{
-    Rng rng(5);
-    const double gamma = 0.4;
-    int decayed = 0;
-    const int n = 4000;
-    for (int i = 0; i < n; i++) {
-        StateVector s(1);
-        s.apply1Q(gateMatrix(GateType::X), 0);
-        s.applyAmplitudeDamping(0, gamma, rng);
-        decayed += s.populationOne(0) < 0.5;
-    }
-    EXPECT_NEAR(static_cast<double>(decayed) / n, gamma, 0.03);
-}
-
-TEST(StateVec, AmplitudeDampingPreservesGroundState)
-{
-    Rng rng(6);
-    StateVector s(1);
-    s.applyAmplitudeDamping(0, 0.9, rng);
-    EXPECT_NEAR(s.probability(0), 1.0, 1e-12);
-}
-
 TEST(StateVec, DecayJumpResetsQubit)
 {
     StateVector s(2);
