@@ -1,7 +1,9 @@
 #include "device/runcard.hh"
 
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <set>

@@ -493,4 +493,5 @@ TEST(EnvParse, EnvHelpersFallBackOnGarbage)
     setenv("ADAPT_TEST_KNOB", "99999999999999999999", 1);
     EXPECT_EQ(envInt("ADAPT_TEST_KNOB", 5, 1, 100), 5);
     unsetenv("ADAPT_TEST_KNOB");
+    EXPECT_EQ(envInt("ADAPT_TEST_KNOB", 5, 1, 100), 5);
 }
