@@ -21,12 +21,12 @@
  *    number, recorded in BENCH_pr4.json); on the 14-active-qubit
  *    routing the 2^14-amplitude sweeps dominate both paths and the
  *    gap narrows — that regime is what the SIMD kernels attack;
- *  - the grouped (shot-batched) compiled replay's occupancy: the
- *    headline rows record the signature-grouping counters (mean
- *    group size, no-error-group fraction) next to the compiled
- *    speed, so a recorded number can be read against how much
- *    grouping was available (OU-phase and >12-qubit jobs run
- *    per-shot and record zero grouped shots);
+ *  - the checkpointed compiled replay's occupancy: the headline rows
+ *    record the checkpointed shot count and no-error fraction next
+ *    to the compiled speed, so a recorded number can be read against
+ *    how many shots started from the reference (OU-phase and
+ *    >12-qubit jobs replay from |0...0> and record zero checkpointed
+ *    shots);
  *  - the batch frame engine on a 50q/100q T1 characterization;
  *  - one-time job preparation (plan lowering + compilation), to show
  *    amortization across shots;
@@ -138,8 +138,8 @@ decoyPaddedSchedule()
 
 /** Pauli-only decoy machine (gate/measure/T1/white-dephasing noise,
  *  OU drift off).  With no per-shot OU phases the whole event-free
- *  prefix is shot-invariant, so the job takes the grouped replay and
- *  its reference-state reuse.
+ *  prefix is shot-invariant, so the job replays each shot from the
+ *  reference checkpoints.
  *  (QAOA decoys are non-Clifford, so this config still runs the
  *  dense backend in production.) */
 const NoisyMachine &
@@ -432,10 +432,10 @@ registerBenchmarks()
 /** Record one headline interpreted / compiled pair directly (the
  *  registered benchmarks re-measure the same points with more rigor;
  *  these rows make the BENCH_*.json record self-contained).  The
- *  compiled row also carries the occupancy of the signature grouping
- *  — mean group size and the fraction of shots whose draw pass fired
- *  nothing — so a recorded speedup can be read against how much
- *  grouping was actually available. */
+ *  compiled row also carries how many shots took the checkpointed
+ *  replay and the fraction of those whose draw pass fired nothing,
+ *  so a recorded speedup can be read against how much of the run
+ *  started from the no-error reference. */
 void
 recordHeadline(const char *name, const NoisyMachine &m,
                const ScheduledCircuit &sched, int shots)
@@ -468,25 +468,18 @@ recordHeadline(const char *name, const NoisyMachine &m,
             .metric("compiled_shots_per_sec", 1.0 / compiled)
             .metric("speedup_compiled_vs_interpreted",
                     interpreted / compiled);
-    // Occupancy: zero grouped shots means the job was ineligible
-    // (OU phases, or a register wider than kMaxBatchQubits) and ran
-    // the per-shot replay — mean_group_size then records null.
-    row.metric("grouped_shots", static_cast<double>(stats.shots))
-        .metric("mean_group_size",
-                static_cast<double>(stats.shots) /
-                    static_cast<double>(stats.groups))
-        .metric("no_error_group_fraction",
+    // Occupancy: zero checkpointed shots means the job was
+    // ineligible (OU phases, or a register wider than
+    // ShotReplayer::kMaxBatchQubits) and replayed every shot from
+    // |0...0>.
+    row.metric("checkpointed_shots", static_cast<double>(stats.shots))
+        .metric("no_error_shot_fraction",
                 stats.shots > 0
                     ? static_cast<double>(stats.noErrorShots) /
                           static_cast<double>(stats.shots)
-                    : 0.0)
-        .metric("batched_shot_fraction",
-                stats.shots > 0
-                    ? static_cast<double>(stats.batchedShots) /
-                          static_cast<double>(stats.shots)
                     : 0.0);
     std::printf("%-28s %9.0f ns/shot interpreted, %8.0f compiled "
-                "(%.2fx), %5.1f%% grouped\n",
+                "(%.2fx), %5.1f%% checkpointed\n",
                 name, interpreted * 1e9, compiled * 1e9,
                 interpreted / compiled,
                 100.0 * static_cast<double>(stats.shots) / shots);
@@ -543,7 +536,7 @@ runExperiment()
     benchio::open("shot_throughput",
                   "dense shot replay — interpreted vs compiled "
                   "(ns per shot and shots/sec, 1 thread, with "
-                  "grouping occupancy) at decoy and device scale, "
+                  "checkpoint occupancy) at decoy and device scale, "
                   "plus the frame engine at 50 and 100 qubits");
     banner("Shot throughput",
            "parallel Monte-Carlo engine, QAOA-10 on ibmq_toronto");
@@ -560,14 +553,15 @@ runExperiment()
     recordHeadline("qaoa5_rome_decoy_scale_dd", decoyMachine(),
                    decoyPaddedSchedule(), kShots);
     // Same circuits with OU drift off (NoiseFlags::pauliOnly): the
-    // only configuration of the two that takes the grouped replay.
+    // only configuration of the two that takes the checkpointed
+    // replay.
     recordHeadline("qaoa5_rome_decoy_scale_pauli",
                    decoyPauliMachine(), decoySchedule(), kShots);
     recordHeadline("qaoa5_rome_decoy_scale_dd_pauli",
                    decoyPauliMachine(), decoyPaddedSchedule(),
                    kShots);
-    // Above the kMaxBatchQubits cap: records the per-shot replay
-    // (grouped metrics degenerate) next to the small-register rows.
+    // Above the kMaxBatchQubits cap: records the from-|0...0> replay
+    // (occupancy metrics zero) next to the small-register rows.
     recordHeadline("qaoa10_toronto", machine(), program().schedule,
                    kPaddedShots);
     recordFrameCharacterization();

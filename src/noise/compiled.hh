@@ -353,33 +353,6 @@ ShotProgram compileShotProgram(const ExecutionPlan &plan,
                                const Calibration &cal,
                                const NoiseFlags &flags);
 
-/**
- * Lower @p plan into a FrameProgram — the stabilizer-path analogue of
- * compileShotProgram, for the bit-packed batch Pauli-frame engine
- * (sim/frame_batch.hh).  Runs the noiseless reference tableau
- * simulation once, baking into the op stream:
- *  - every measurement's reference outcome, plus the branch-flip
- *    Pauli for random-outcome measurements,
- *  - each T1 checkpoint's reference population (deterministic
- *    checkpoints take the exact jump path, random ones the documented
- *    X-injection approximation),
- *  - every pulse train fused into one GL(2, F2) frame transform, with
- *    mid-train gate errors conjugated through the train suffix,
- *  - every noise probability resolved into a FrameBernoulli mask
- *    mode, with the exact closed forms of the interpreted path.
- *
- * Noise-op emission mirrors the interpreted runShot order (coherent
- * catch-up, then Markovian, then the step), so the two engines sample
- * the same law.
- *
- * @pre plan.clifford and flags Pauli-expressible without per-shot OU
- *      (flags.ouDephasing off); the dispatcher keeps OU-twirl jobs on
- *      the per-shot backend.
- */
-FrameProgram compileFrameProgram(const ExecutionPlan &plan,
-                                 const Calibration &cal,
-                                 const NoiseFlags &flags);
-
 // ------------------------------------------------------------------
 // Structure / constants split.
 //
@@ -405,9 +378,10 @@ FrameProgram compileFrameProgram(const ExecutionPlan &plan,
 //
 // Determinism: a bound program is field-for-field identical to a
 // cold compile of the same (schedule, calibration, flags) — the
-// legacy entry points buildPlan / compileShotProgram /
-// compileFrameProgram are now thin build+bind compositions, so cold
-// and cached paths run literally the same code.
+// entry points buildPlan / compileShotProgram are thin build+bind
+// compositions, and a frame program is always buildFrameSkeleton +
+// bindFrameProgram, so cold and cached paths run literally the same
+// code.
 // ------------------------------------------------------------------
 
 /** Per-link CX activity windows recorded by the structure phase so
@@ -444,7 +418,7 @@ struct ShotTables
 
 /**
  * Frame-path structure trace: the complete record of the noiseless
- * reference-tableau walk compileFrameProgram performs.  Every
+ * reference-tableau walk buildFrameSkeleton performs.  Every
  * reference query (measurement randomness, flip supports, T1
  * population classes) and every fused-train Clifford resolution is
  * device-independent, so it is recorded once here and consumed in
@@ -555,12 +529,17 @@ ShotProgram bindShotProgram(const ExecutionPlan &plan,
                             const NoiseFlags &flags);
 
 /**
- * Structure phase of the frame compiler: run the noiseless reference
- * tableau once over @p plan, recording every reference query and
- * fused-train resolution.  Reads ADAPT_FRAME_BRANCH_DEPTH.
+ * Structure phase of the frame compiler, which lowers a plan into a
+ * FrameProgram for the bit-packed batch Pauli-frame engine
+ * (sim/frame_batch.hh): run the noiseless reference tableau once over
+ * @p plan, recording every measurement's reference outcome and
+ * branch-flip Pauli, each T1 checkpoint's reference class, and every
+ * pulse train's GL(2, F2) frame transform.  Reads
+ * ADAPT_FRAME_BRANCH_DEPTH.
  *
- * @pre As compileFrameProgram (all-Clifford, Pauli-expressible
- *      flags, no OU, no non-Pauli conditionals).
+ * @pre plan.clifford, flags Pauli-expressible without per-shot OU
+ *      (flags.ouDephasing off), no non-Pauli conditionals; the
+ *      dispatcher keeps other jobs on the per-shot backend.
  */
 FrameSkeleton buildFrameSkeleton(const ExecutionPlan &plan,
                                  const NoiseFlags &flags);
@@ -568,8 +547,10 @@ FrameSkeleton buildFrameSkeleton(const ExecutionPlan &plan,
 /**
  * Bind phase of the frame compiler: replay the recorded reference
  * trace against a *bound* plan, evaluating FrameBernoullis from the
- * calibration.  Identical output to compileFrameProgram under the
- * skeleton's branch depth.
+ * calibration with the exact closed forms of the interpreted path.
+ * Noise-op emission mirrors the interpreted runShot order (coherent
+ * catch-up, then Markovian, then the step), so the two engines sample
+ * the same law.
  */
 FrameProgram bindFrameProgram(const ExecutionPlan &plan,
                               const FrameSkeleton &skel,
@@ -634,7 +615,7 @@ struct ShotEvent
  * reserved measurement / reset RNG words, and the fired events.  A
  * ShotTape plus the compiled program fully determines the shot — the
  * replay consumes no RNG — so tapes for a whole block can be drawn up
- * front and replayed in any grouping without changing any outcome.
+ * front and replayed afterwards without changing any outcome.
  */
 struct ShotTape
 {
@@ -647,24 +628,27 @@ struct ShotTape
  * Shots per block on the dense / per-shot paths: the granularity at
  * which wave-structured cancellable runs commit work and shard ranges
  * split (the batch frame engine's natural block is kFrameLanes
- * instead).  This is also the grouped dense replay's batching
- * window: a block's shots draw their tapes together and shots with
- * identical error patterns share one prefix execution.
+ * instead).  This is also the checkpointed dense replay's draw block:
+ * a block's shots draw their tapes together before any replays.
  * Per-shot RNG streams make any block size prefix-exact; this one
  * just bounds how much work a multi-chunk run can lose to a stop
  * request.
  */
 constexpr int kShotBlock = 64;
 
-/** Occupancy counters of the grouped dense path (BatchShotReplayer),
- *  reported per run through RunOutcome::denseStats. */
+/** Occupancy counters of the checkpointed dense replay (the
+ *  ShotReplayer::runBlock path of small registers without per-shot
+ *  phases), reported per run through RunOutcome::denseStats. */
 struct DenseBatchStats
 {
-    int64_t shots = 0;   //!< shots routed through the grouped path
-    int64_t blocks = 0;  //!< <= 64-shot draw blocks formed
-    int64_t groups = 0;  //!< signature groups (singletons included)
-    int64_t batchedShots = 0;  //!< shots whose prefix was amortized
-                               //!< (shared group prefix)
+    int64_t shots = 0;   //!< shots routed through the checkpointed path
+    int64_t blocks = 0;  //!< <= kShotBlock-shot draw blocks formed
+
+    /** Shots replayed alone from a reference checkpoint: always equal
+     *  to shots.  Kept only because the end-to-end bench still
+     *  reports noise.mean_group_size from it. */
+    int64_t groups = 0;
+
     int64_t noErrorShots = 0;  //!< shots whose draw pass fired nothing
 
     void merge(const DenseBatchStats &other)
@@ -672,25 +656,44 @@ struct DenseBatchStats
         shots += other.shots;
         blocks += other.blocks;
         groups += other.groups;
-        batchedShots += other.batchedShots;
         noErrorShots += other.noErrorShots;
     }
 };
 
 /**
  * Per-chunk worker that replays a compiled program.  Owns the state
- * vector, the outcome packer, and the reusable draw tape; one
+ * vector, the outcome packer, and the reusable draw tapes; one
  * instance serves all the shots of a chunk.
+ *
+ * Small registers without per-shot dynamic phases take a checkpointed
+ * runBlock.  Each <= kShotBlock-shot window first draws every shot's
+ * tape, with the per-shot RNG streams advanced in structure-of-arrays
+ * lockstep (or one shot at a time when OU Gaussians are drawn under
+ * the twirl).  The event-free evolution of such a program is
+ * shot-invariant, so it is checkpointed once at construction: each
+ * shot then replays from the checkpoint below its first event, or,
+ * when nothing fired, from the fast stream's state just before its
+ * first measurement.  Every other program draws and replays each shot
+ * from |0...0>.
+ *
+ * Bit-identity: tapes are drawn from the same per-shot forks either
+ * way, and a checkpoint is the replay's own operator sequence up to
+ * that op, so every outcome key equals the from-|0...0> replay's (and
+ * the interpreter's) for any seed, thread count, and block split.
  */
 class ShotReplayer
 {
   public:
     ShotReplayer(const ExecutionPlan &plan, const ShotProgram &prog);
 
+    /** Widest register that takes the checkpointed runBlock (wider
+     *  ones have per-op sweeps that dwarf the replay they save). */
+    static constexpr int kMaxBatchQubits = 12;
+
     /**
-     * Execute one shot: draw pass, then fast or general replay.
-     * Consumes RNG streams forked off @p shot_rng exactly as the
-     * interpreted path does, and returns the same outcome key.
+     * Execute one shot from |0...0>: draw pass, then fast or general
+     * replay.  Consumes RNG streams forked off @p shot_rng exactly as
+     * the interpreted path does, and returns the same outcome key.
      */
     uint64_t runShot(const Rng &shot_rng);
 
@@ -699,11 +702,11 @@ class ShotReplayer
      * streams from (base, absolute shot index) as the engine does,
      * and count the outcomes into @p hist.
      *
-     * When @p token is non-null it is polled before every shot and
-     * the block stops early on a stop request — the single-chunk
-     * cancellable path, giving one-shot cancellation latency while
-     * keeping the completed prefix bit-identical to an uninterrupted
-     * run (per-shot RNG streams never depend on where a run stops).
+     * When @p token is non-null it is polled before every shot (once
+     * per draw block on the checkpointed path) and the range stops
+     * early on a stop request, keeping the completed prefix
+     * bit-identical to an uninterrupted run (per-shot RNG streams
+     * never depend on where a run stops).
      *
      * @return Shots actually executed (== count unless stopped).
      */
@@ -722,6 +725,9 @@ class ShotReplayer
      *  return the outcome key (the replay half of runShot). */
     uint64_t replayShot(const ShotTape &tape);
 
+    /** Occupancy of the checkpointed path (all zero off it). */
+    const DenseBatchStats &stats() const { return stats_; }
+
     /** Shots replayed on the no-error fast stream so far. */
     uint64_t fastShots() const { return fastShots_; }
 
@@ -729,14 +735,36 @@ class ShotReplayer
     uint64_t totalShots() const { return totalShots_; }
 
   private:
-    friend class BatchShotReplayer;
+    /** True when @p prog takes the checkpointed path: a small register
+     *  with no per-shot dynamic phases (OU dephasing gives every shot
+     *  its own phases, so its event-free evolution is not
+     *  shot-invariant). */
+    static bool eligible(const ShotProgram &prog)
+    {
+        return prog.numQubits <= kMaxBatchQubits &&
+               prog.phaseSlots == 0;
+    }
 
-    /** Replay stream ops [first_op, end) against the current state,
-     *  with @p cursor positioned at the first tape event whose op
-     *  index is >= first_op. */
+    /** Replay stream ops [first_op, end_op) against the current
+     *  state.  @pre Every event of @p tape sits at an op >= first_op. */
     void replayRange(const std::vector<OpRef> &stream,
-                     uint32_t first_op, const ShotTape &tape,
-                     size_t cursor);
+                     uint32_t first_op, uint32_t end_op,
+                     const ShotTape &tape);
+
+    /**
+     * Draw the tapes of shots [first_shot, first_shot + count) into
+     * tapes_[0..count) with the per-shot RNG streams advanced in
+     * structure-of-arrays lockstep (Rng::stepLanes), consuming every
+     * stream exactly as count calls of drawTape would.
+     * @pre !flags.ouDephasing (no per-shot Gaussians).
+     */
+    void drawBlockTapes(const Rng &base, int64_t first_shot,
+                        int count);
+
+    /** replayShot from the reference below the shot's first event
+     *  instead of |0...0> (the event-free prefix is shot-invariant,
+     *  so it is skipped outright). */
+    uint64_t replayFromRef(const ShotTape &tape);
 
     const ExecutionPlan &plan_;
     const ShotProgram &prog_;
@@ -751,96 +779,12 @@ class ShotReplayer
 
     uint64_t fastShots_ = 0;
     uint64_t totalShots_ = 0;
-};
 
-/**
- * Shot-batched dense replay for small registers without per-shot
- * dynamic phases (see eligible()).
- *
- * Each <= 64-shot block first runs the state-independent draw pass
- * for every shot, then groups shots whose tapes resolved to the same
- * *event signature* — the sequence of (op, pulse, kind, Pauli codes),
- * ignoring the per-shot measurement words.  At realistic error rates
- * the empty signature (no event fired) dominates, so one group
- * usually holds most of the block.  Members of a group apply the
- * identical operator sequence up to the group's first *divergent*
- * op — a measurement, reset, or population-conditional T1 jump,
- * whose effect depends on per-shot state or per-shot words — so that
- * prefix runs once on the scalar state and every member finishes
- * alone from the shared snapshot.  The event-free evolution is
- * shot-invariant, so it is checkpointed once at construction and
- * each prefix starts from the checkpoint below its first event.
- *
- * Bit-identity: tapes are drawn from the same per-shot forks in the
- * same order as ShotReplayer::runBlock and the shared prefix is the
- * scalar replay's own operator sequence, so every outcome key equals
- * the per-shot path's for any seed, thread count, and block split.
- */
-class BatchShotReplayer
-{
-  public:
-    BatchShotReplayer(const ExecutionPlan &plan,
-                      const ShotProgram &prog);
-
-    /** Widest register that takes the grouped path. */
-    static constexpr int kMaxBatchQubits = 12;
-
-    /** True when @p prog takes the grouped path: a small register
-     *  (larger ones have per-op sweeps wide enough to amortize
-     *  dispatch already) with no per-shot dynamic phases (OU
-     *  dephasing gives every shot its own phases, so no two shots
-     *  share a prefix). */
-    static bool eligible(const ShotProgram &prog)
-    {
-        return prog.numQubits <= kMaxBatchQubits &&
-               prog.phaseSlots == 0;
-    }
-
-    /**
-     * Grouped-path equivalent of ShotReplayer::runBlock: identical
-     * outcomes, identical per-shot RNG forks.  @p token, when
-     * non-null, is polled once per <= 64-shot draw block, so a stop
-     * request truncates to an exact block-prefix of the range.
-     */
-    int64_t runBlock(const Rng &base, int64_t first_shot,
-                     int64_t count, FlatAccumulator &hist,
-                     const CancellationToken *token = nullptr);
-
-    const DenseBatchStats &stats() const { return stats_; }
-    uint64_t fastShots() const { return scalar_.fastShots(); }
-    uint64_t totalShots() const { return scalar_.totalShots(); }
-
-  private:
-    void runSubBlock(const Rng &base, int64_t first_shot, int count,
-                     FlatAccumulator &hist);
-
-    /**
-     * Draw the tapes of shots [first_shot, first_shot + count) into
-     * tapes_[0..count) with the per-shot RNG streams advanced in
-     * structure-of-arrays lockstep (Rng::stepLanes), consuming every
-     * stream exactly as count calls of ShotReplayer::drawTape would.
-     * Only valid when the program draws no per-shot Gaussians
-     * (!flags.ouDephasing — see drawBatched_).
-     */
-    void drawBlockTapes(const Rng &base, int64_t first_shot,
-                        int count);
-
-    /** First op of @p stream whose replay depends on per-shot state
-     *  or words (Meas / Reset / T1Jump-carrying Markov); returns
-     *  stream.size() when none.  @p cursor_out receives the tape
-     *  cursor at the divergence point. */
-    uint32_t divergenceOp(const std::vector<OpRef> &stream,
-                          const ShotTape &rep,
-                          size_t &cursor_out) const;
-
-    /**
-     * Execute stream ops [from, to) of a group with representative
-     * tape @p rep on the scalar state; the final state is shared by
-     * every member of the group.
-     * @pre Every event of @p rep sits at an op >= from.
-     */
-    void replayPrefix(const std::vector<OpRef> &stream, uint32_t from,
-                      uint32_t to, const ShotTape &rep);
+    // Checkpointed path only (empty otherwise).
+    const bool checkpointed_;
+    std::vector<ShotTape> tapes_;       //!< kShotBlock reusable tapes
+    std::vector<uint64_t> gateWords_;   //!< [word][lane] gate stream
+    std::vector<uint64_t> qubitWords_;  //!< [qubit][word][lane]
 
     /** Memory budget for the reference checkpoints; refStride_ (ops
      *  between checkpoints) is the smallest stride fitting it, so
@@ -849,35 +793,16 @@ class BatchShotReplayer
     static constexpr size_t kRefBudgetBytes = size_t{4} << 20;
 
     /**
-     * Replay a shot from the precomputed reference below its first
-     * divergence instead of |0...0> (the event-free prefix is
-     * shot-invariant, so ops [0, cp) are skipped outright).
-     */
-    uint64_t replayShotFromRef(const ShotTape &tape);
-
-    ShotReplayer scalar_;
-    std::vector<ShotTape> tapes_;  //!< kShotBlock reusable tapes
-    std::vector<Complex> laneAmps_;     //!< shared-prefix snapshot
-    bool drawBatched_;  //!< SoA draw pass valid (no OU Gaussians)
-    std::vector<uint64_t> gateWords_;   //!< [word][lane] gate stream
-    std::vector<uint64_t> qubitWords_;  //!< [qubit][word][lane]
-
-    /**
      * Event-free reference evolution: the state of the general op
      * stream before op c * refStride_, for every checkpoint c up to
-     * the stream's first Meas / Reset op (refDivOp_).  Shot-invariant
-     * — any shot's state before its first event is the reference
-     * state — so it is built once at construction and each error
-     * shot's replay starts at the checkpoint below its first event.
+     * the stream's first Meas / Reset op (refDivOp_).
      */
     uint32_t refDivOp_ = 0;
     uint32_t refStride_ = 1;        //!< ops between checkpoints
     std::vector<Complex> refAmps_;  //!< [checkpoint][basis]
-    ShotTape emptyTape_;            //!< reference (no events)
 
-    /** The no-error group's prefix on the fast stream is the same
-     *  tape-independent evolution: its state at the fast stream's
-     *  first Meas / Reset op, computed once. */
+    /** The fast stream's event-free state at its first Meas / Reset
+     *  op (refFastDivOp_), where every no-error shot starts. */
     uint32_t refFastDivOp_ = 0;
     std::vector<Complex> refFastAmps_;
 

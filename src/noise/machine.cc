@@ -331,8 +331,7 @@ buildProgramSkeleton(const ScheduledCircuit &sched,
 enum class ExecPath
 {
     Frame,       //!< batch Pauli-frame engine (FrameBatchBackend)
-    Grouped,     //!< signature-grouped dense replay (BatchShotReplayer)
-    Replay,      //!< per-shot compiled dense replay (ShotReplayer)
+    Replay,      //!< compiled dense replay (ShotReplayer)
     Interpreted, //!< per-shot plan walk on a SimBackend
 };
 
@@ -344,11 +343,8 @@ execPath(const PreparedJob &job, ExecMode mode)
     if (mode == ExecMode::Compiled) {
         if (job.frame)
             return ExecPath::Frame;
-        if (job.program) {
-            return BatchShotReplayer::eligible(*job.program)
-                       ? ExecPath::Grouped
-                       : ExecPath::Replay;
-        }
+        if (job.program)
+            return ExecPath::Replay;
     }
     return ExecPath::Interpreted;
 }
@@ -401,8 +397,9 @@ class ChunkExecutor
     /**
      * Run units [lo, hi) into @p hist and return the units done.  A
      * non-null @p token is polled per shot (per draw block on the
-     * grouped path) and stops the range at an exact prefix; frame
-     * blocks are never cut, so the frame path ignores it.
+     * checkpointed dense replay) and stops the range at an exact
+     * prefix; frame blocks are never cut, so the frame path ignores
+     * it.
      */
     int64_t
     run(int64_t lo, int64_t hi, FlatAccumulator &hist,
@@ -412,12 +409,6 @@ class ChunkExecutor
           case ExecPath::Frame:
             runFrame(lo, hi, hist);
             return hi - lo;
-          case ExecPath::Grouped:
-            if (!batch_) {
-                batch_ = std::make_unique<BatchShotReplayer>(
-                    job_.plan, *job_.program);
-            }
-            return batch_->runBlock(base_, lo, hi - lo, hist, token);
           case ExecPath::Replay:
             if (!replayer_) {
                 replayer_ = std::make_unique<ShotReplayer>(
@@ -436,8 +427,8 @@ class ChunkExecutor
     mergeStatsInto(RunOutcome &out) const
     {
         out.frameStats.merge(frameStats_);
-        if (batch_)
-            out.denseStats.merge(batch_->stats());
+        if (replayer_)
+            out.denseStats.merge(replayer_->stats());
     }
 
   private:
@@ -506,7 +497,6 @@ class ChunkExecutor
     const int shots_;
 
     std::unique_ptr<FrameBatchBackend> frame_;
-    std::unique_ptr<BatchShotReplayer> batch_;
     std::unique_ptr<ShotReplayer> replayer_;
     std::unique_ptr<SimBackend> state_;
     std::unique_ptr<StabilizerState> scratch_;

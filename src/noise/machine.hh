@@ -53,12 +53,11 @@ class ProgramCache;
  *    ShotProgram (noise/compiled.hh) and every shot replays it — a
  *    cheap draw pass resolving all stochastic outcomes against
  *    fixed-point thresholds, then a no-error fast replay when nothing
- *    fired.  Small jobs without OU phases additionally batch the
- *    shot dimension: the draw pass runs for a whole kShotBlock block
- *    up front, and shots with identical resolved error patterns
- *    share one execution of the gate stream up to their first
- *    per-shot divergence.  Bit-identical to Interpreted for any
- *    seed/thread count either way.
+ *    fired.  Small jobs without OU phases additionally run the draw
+ *    pass for a whole kShotBlock block up front, and each shot
+ *    replays from a precomputed event-free checkpoint below its
+ *    first event instead of |0...0>.  Bit-identical to Interpreted
+ *    for any seed/thread count either way.
  *  - Interpreted: the historical per-shot plan walk (the reference
  *    semantics the compiled path is tested against).
  *
@@ -139,7 +138,7 @@ struct RunOutcome
     bool partial = false;               //!< stopped before all shots
     StopCause cause = StopCause::None;  //!< why, when partial
     FrameBatchStats frameStats;         //!< batch frame path only
-    DenseBatchStats denseStats;         //!< grouped dense path only
+    DenseBatchStats denseStats;         //!< checkpointed dense path only
 };
 
 /** The simulated hardware endpoint. */

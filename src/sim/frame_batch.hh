@@ -9,7 +9,7 @@
  * events fired.  This engine applies the standard Stim-style fix:
  *
  *  - The noiseless *reference* simulation runs ONCE per job (at
- *    compile time, in compileFrameProgram), fixing every
+ *    compile time, in buildFrameSkeleton), fixing every
  *    measurement's reference outcome and, for random-outcome
  *    measurements, the "branch-flip" Pauli that maps one outcome
  *    branch onto the other.
@@ -321,8 +321,9 @@ struct FrameT1Site
  * A stabilizer job lowered into a frame op stream: the reference
  * simulation's outcomes baked in, every probability resolved into a
  * mask-generation mode, every pulse train fused into one of the six
- * GL(2, F2) transforms.  Built once per job by compileFrameProgram
- * (noise/compiled.hh) and shared read-only by all shot workers.
+ * GL(2, F2) transforms.  Built once per job by buildFrameSkeleton +
+ * bindFrameProgram (noise/compiled.hh) and shared read-only by all
+ * shot workers.
  */
 struct FrameProgram
 {

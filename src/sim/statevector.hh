@@ -37,8 +37,8 @@ class StateVector
     void reset();
 
     /**
-     * Overwrite the first @p count amplitudes from @p src (the grouped
-     * replayer restoring a checkpoint or shared-prefix snapshot).
+     * Overwrite the first @p count amplitudes from @p src (the dense
+     * replayer restoring a reference checkpoint).
      *
      * @pre count == dim().
      */

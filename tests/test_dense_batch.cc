@@ -1,16 +1,16 @@
 /**
  * @file
- * Grouped (shot-batched) dense replay vs. the per-shot paths.
+ * Checkpointed dense replay vs. the interpreted reference.
  *
- * The contract under test (noise/compiled.hh BatchShotReplayer):
- * grouping a block's shots by resolved error pattern and running
- * each group's shared prefix once changes *nothing observable* — for
- * any noise-flag combination, seed, thread count, and
- * batch-vs-serial split, the grouped path is bit-identical to the
- * per-shot compiled replay (ShotReplayer::runBlock driven directly)
- * and to the interpreted reference.  On top of the identity locks the
- * suite pins the dispatch rules (qubit cap, OU phases stay per-shot)
- * and the occupancy counters surfaced through RunOutcome::denseStats.
+ * The contract under test (noise/compiled.hh ShotReplayer): for small
+ * registers without per-shot phases, drawing a block's tapes together
+ * and replaying each shot from the event-free reference checkpoint
+ * below its first event changes *nothing observable* — for any
+ * noise-flag combination, seed, thread count, and batch-vs-serial
+ * split, the compiled run is bit-identical to ExecMode::Interpreted.
+ * On top of the identity locks the suite pins the dispatch rules
+ * (qubit cap, OU phases replay from |0...0>) and the occupancy
+ * counters surfaced through RunOutcome::denseStats.
  *
  * Run under ADAPT_NUM_THREADS=1/4/8 in CI: the thread-identity
  * assertions then cover every pool size.
@@ -18,7 +18,7 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
+#include <iterator>
 #include <vector>
 
 #include "common/cancellation.hh"
@@ -39,9 +39,9 @@ namespace
 {
 
 /** Every channel except OU dephasing, whose per-shot phases keep a
- *  program off the grouped path. */
+ *  program off the checkpointed path. */
 NoiseFlags
-groupableFlags()
+phaseFreeFlags()
 {
     NoiseFlags flags = NoiseFlags::all();
     flags.ouDephasing = false;
@@ -64,78 +64,89 @@ compileWorkload(const Circuit &logical, const Device &device)
     return transpile(logical, device, device.calibration(0)).schedule;
 }
 
-/**
- * Shots [0, shots) of @p sched on the per-shot compiled replay:
- * ShotReplayer::runBlock driven directly, with the engine's run-seed
- * derivation.
- */
+/** Shots [0, shots) of @p sched on the interpreted reference. */
 Distribution
-perShotReplay(const NoisyMachine &machine, const ScheduledCircuit &sched,
-              int shots, uint64_t seed)
+interpreted(const NoisyMachine &machine, const ScheduledCircuit &sched,
+            int shots, uint64_t seed)
 {
-    const ExecutionPlan plan =
-        buildPlan(sched, machine.calibration(), machine.flags());
-    const ShotProgram prog = compileShotProgram(
-        plan, machine.calibration(), machine.flags());
-    ShotReplayer replayer(plan, prog);
-    FlatAccumulator hist;
-    replayer.runBlock(Rng(seed ^ 0xadab7dd), 0, shots, hist);
-    Distribution dist;
-    for (const auto &[key, count] : hist.sortedItems())
-        dist.addSamples(key, static_cast<uint64_t>(std::llround(count)));
-    return dist;
+    return machine.run(sched, shots, seed, 1, BackendKind::Dense,
+                       ExecMode::Interpreted);
 }
 
 /**
- * Assert the grouped replay (the default) reproduces both per-shot
- * paths bit for bit at several thread counts, and actually engaged
- * (denseStats.shots covers the run).
+ * Assert the compiled replay reproduces the interpreted reference bit
+ * for bit at several thread counts, and actually took the
+ * checkpointed path (denseStats.shots covers the run).
  */
 void
-expectGroupedMatchesPerShot(const NoisyMachine &machine,
-                            const ScheduledCircuit &sched, int shots,
-                            uint64_t seed)
+expectCheckpointedMatchesInterpreted(const NoisyMachine &machine,
+                                     const ScheduledCircuit &sched,
+                                     int shots, uint64_t seed)
 {
     const PreparedCircuit prepared =
         machine.prepare(sched, BackendKind::Dense);
-    const Distribution pershot =
-        perShotReplay(machine, sched, shots, seed);
-    const Distribution interpreted =
-        machine.run(sched, shots, seed, 1, BackendKind::Dense,
-                    ExecMode::Interpreted);
-    EXPECT_TRUE(distributionsIdentical(pershot, interpreted));
-
+    const Distribution reference =
+        interpreted(machine, sched, shots, seed);
     for (int threads : threadCounts()) {
-        const RunOutcome grouped = machine.runPartial(
+        const RunOutcome compiled = machine.runPartial(
             prepared, shots, seed, threads, RunControl{});
-        EXPECT_TRUE(distributionsIdentical(pershot, grouped.dist))
+        EXPECT_TRUE(distributionsIdentical(reference, compiled.dist))
             << "threads=" << threads;
-        EXPECT_EQ(grouped.denseStats.shots, shots)
+        EXPECT_EQ(compiled.denseStats.shots, shots)
             << "threads=" << threads;
     }
+}
+
+/**
+ * A dense dynamic circuit: a conditional Pauli before the first
+ * measurement (its bit is still clear, so it never fires), then a
+ * mid-circuit measure, a reset, and a conditional on the measured
+ * bit.  A shot whose first event precedes the early conditional
+ * replays it from a checkpoint, reading the shot's own clear
+ * register.
+ */
+ScheduledCircuit
+dynamicSchedule(const Device &device)
+{
+    Circuit c(3, 3);
+    c.h(0);
+    c.t(0);
+    c.h(1);
+    c.xIf(2, 1);
+    c.cx(0, 1);
+    c.measure(1, 1);
+    c.reset(1);
+    c.xIf(2, 1);
+    c.h(1);
+    c.t(1);
+    c.cx(1, 2);
+    c.measureAll();
+    return schedule(decompose(c), device.topology(),
+                    device.calibration(0), ScheduleMode::Alap);
 }
 
 } // namespace
 
 // ------------------------------------------------- identity corpus
 
-TEST(DenseBatch, GroupedMatchesPerShotOnNonCliffordWorkload)
+TEST(DenseBatch, CheckpointedMatchesInterpretedOnNonCliffordWorkload)
 {
     const Device device = Device::ibmqRome();
-    const NoisyMachine machine(device, 0, groupableFlags());
+    const NoisyMachine machine(device, 0, phaseFreeFlags());
     const ScheduledCircuit sched =
         compileWorkload(makeQaoa(5, QaoaGraph::A), device);
     for (uint64_t seed : {3ULL, 11ULL, 31337ULL})
-        expectGroupedMatchesPerShot(machine, sched, 1200, seed);
+        expectCheckpointedMatchesInterpreted(machine, sched, 1200, seed);
 }
 
-TEST(DenseBatch, GroupedMatchesPerShotPerNoiseChannel)
+TEST(DenseBatch, CheckpointedMatchesInterpretedPerNoiseChannel)
 {
     // One flag at a time (plus all-off, all-on, twirl): every event
-    // kind crosses the grouped path — gate-error splices, measurement
-    // word flips, T1 divergence peels, OU Gaussians under the twirl
-    // (no phase slots, so grouped with the scalar draw pass) — and
-    // the OU-phase configs check the per-shot routing.
+    // kind crosses the checkpointed path — gate-error splices,
+    // measurement word flips, T1 jumps, OU Gaussians under the twirl
+    // (no phase slots, so checkpointed with the scalar draw pass) —
+    // and the OU-phase configs check the from-|0...0> routing.  The
+    // dynamic input adds measure, reset and conditional ops.
     std::vector<NoiseFlags> configs;
     configs.push_back(NoiseFlags::none());
     configs.push_back(NoiseFlags::all());
@@ -154,25 +165,29 @@ TEST(DenseBatch, GroupedMatchesPerShotPerNoiseChannel)
     configs.push_back(twirled);
 
     const Device device = Device::ibmqRome();
-    const ScheduledCircuit sched =
-        compileWorkload(makeQft(4, QftState::B), device);
+    const ScheduledCircuit inputs[] = {
+        compileWorkload(makeQft(4, QftState::B), device),
+        dynamicSchedule(device),
+    };
     for (size_t i = 0; i < configs.size(); i++) {
         const NoisyMachine machine(device, 0, configs[i]);
-        const PreparedCircuit prepared =
-            machine.prepare(sched, BackendKind::Dense);
-        const Distribution pershot =
-            perShotReplay(machine, sched, 500, 29 + i);
-        EXPECT_TRUE(distributionsIdentical(
-            pershot, machine.run(prepared, 500, 29 + i, 4)))
-            << "config " << i;
+        for (size_t k = 0; k < std::size(inputs); k++) {
+            const PreparedCircuit prepared =
+                machine.prepare(inputs[k], BackendKind::Dense);
+            EXPECT_TRUE(distributionsIdentical(
+                interpreted(machine, inputs[k], 500, 29 + i),
+                machine.run(prepared, 500, 29 + i, 4)))
+                << "config " << i << ", input " << k;
+        }
     }
 }
 
-TEST(DenseBatch, GroupedMatchesPerShotOnDDPaddedWorkload)
+TEST(DenseBatch, CheckpointedMatchesInterpretedOnDDPaddedWorkload)
 {
-    // The decoy-scale shape the PR optimizes for: DD-padded pulse
-    // trains where most shots resolve to the no-error signature and
-    // the rest splice mid-train.  Identity must survive both.
+    // The decoy-scale shape of the ADAPT search: DD-padded pulse
+    // trains where most shots fire no event and start from the
+    // fast-stream reference, and the rest splice mid-train from a
+    // checkpoint.  Identity must survive both.
     NoiseFlags flags = NoiseFlags::none();
     flags.gateErrors = true;
     const Device device = Device::ibmqRome();
@@ -181,13 +196,13 @@ TEST(DenseBatch, GroupedMatchesPerShotOnDDPaddedWorkload)
         insertDDAll(compileWorkload(makeQaoa(4, QaoaGraph::B), device),
                     machine.calibration(), DDOptions{});
     ASSERT_GT(ddPulseCount(padded), 0);
-    expectGroupedMatchesPerShot(machine, padded, 1500, 17);
+    expectCheckpointedMatchesInterpreted(machine, padded, 1500, 17);
 }
 
 TEST(DenseBatch, BatchVsSerialBitIdentical)
 {
     const Device device = Device::ibmqRome();
-    const NoisyMachine machine(device, 0, groupableFlags());
+    const NoisyMachine machine(device, 0, phaseFreeFlags());
     std::vector<PreparedCircuit> prepared;
     std::vector<uint64_t> seeds;
     for (int v = 0; v < 5; v++) {
@@ -213,7 +228,7 @@ TEST(DenseBatch, BatchVsSerialBitIdentical)
 TEST(DenseBatch, CancellationReturnsExactBlockPrefix)
 {
     const Device device = Device::ibmqRome();
-    const NoisyMachine machine(device, 0, groupableFlags());
+    const NoisyMachine machine(device, 0, phaseFreeFlags());
     const ScheduledCircuit sched =
         compileWorkload(makeQaoa(5, QaoaGraph::A), device);
     const PreparedCircuit prepared = machine.prepare(sched);
@@ -233,17 +248,16 @@ TEST(DenseBatch, CancellationReturnsExactBlockPrefix)
         EXPECT_EQ(out.cause, StopCause::Cancelled);
         EXPECT_GT(out.shotsDone, 0);
         EXPECT_LT(out.shotsDone, kShots);
-        // The committed prefix replays exactly as a shorter grouped
-        // run — and as a shorter per-shot run (the block split moves,
-        // the outcomes may not).
+        // The committed prefix replays exactly as a shorter compiled
+        // run — and as a shorter interpreted run (the block split
+        // moves, the outcomes may not).
         const Distribution prefix = machine.run(
             prepared, static_cast<int>(out.shotsDone), 9);
         EXPECT_TRUE(distributionsIdentical(out.dist, prefix))
             << "threads=" << threads;
         EXPECT_TRUE(distributionsIdentical(
-            out.dist, perShotReplay(machine, sched,
-                                    static_cast<int>(out.shotsDone),
-                                    9)))
+            out.dist, interpreted(machine, sched,
+                                  static_cast<int>(out.shotsDone), 9)))
             << "threads=" << threads;
     }
 }
@@ -252,10 +266,10 @@ TEST(DenseBatch, CancellationReturnsExactBlockPrefix)
 
 TEST(DenseBatch, WideRegistersStayOnPerShotPath)
 {
-    // Two programs the grouped path never takes: a register above
-    // kMaxBatchQubits, and a small register whose OU dephasing gives
-    // every shot its own dynamic phases.  The per-shot replay serves
-    // both and the stats stay zero.
+    // Two programs the checkpointed path never takes: a register
+    // above kMaxBatchQubits, and a small register whose OU dephasing
+    // gives every shot its own dynamic phases.  The from-|0...0>
+    // replay serves both and the stats stay zero.
     NoiseFlags ou_only = NoiseFlags::none();
     ou_only.ouDephasing = true;
     const struct
@@ -263,7 +277,7 @@ TEST(DenseBatch, WideRegistersStayOnPerShotPath)
         int qubits;
         NoiseFlags flags;
     } cases[] = {
-        {BatchShotReplayer::kMaxBatchQubits + 1, NoiseFlags::none()},
+        {ShotReplayer::kMaxBatchQubits + 1, NoiseFlags::none()},
         {4, ou_only},
     };
     for (const auto &tc : cases) {
@@ -295,7 +309,7 @@ TEST(DenseBatch, WideRegistersStayOnPerShotPath)
 TEST(DenseBatch, OccupancyCountersAreConsistent)
 {
     const Device device = Device::ibmqRome();
-    const NoisyMachine machine(device, 0, groupableFlags());
+    const NoisyMachine machine(device, 0, phaseFreeFlags());
     const PreparedCircuit prepared = machine.prepare(
         compileWorkload(makeQaoa(5, QaoaGraph::A), device));
     const int shots = 5 * kShotBlock + 7;
@@ -305,22 +319,16 @@ TEST(DenseBatch, OccupancyCountersAreConsistent)
     EXPECT_EQ(s.shots, shots);
     // Serial run: one draw block per kShotBlock window.
     EXPECT_EQ(s.blocks, (shots + kShotBlock - 1) / kShotBlock);
-    EXPECT_GE(s.groups, s.blocks);
-    EXPECT_LE(s.groups, s.shots);
-    EXPECT_LE(s.batchedShots, s.shots);
+    // Every checkpointed shot replays alone.
+    EXPECT_EQ(s.groups, s.shots);
     EXPECT_LE(s.noErrorShots, s.shots);
-    // With every groupable channel enabled the per-shot event rate
-    // is high, but a healthy fraction must still group and share a
-    // prefix (the lightly-noised regimes the path optimizes for group
-    // far more — see bench_shot_throughput's occupancy metrics).
-    EXPECT_GT(s.batchedShots, s.shots / 4);
     EXPECT_GT(s.noErrorShots, 0);
 }
 
 TEST(DenseBatch, StatsMergeAcrossThreadChunks)
 {
     const Device device = Device::ibmqRome();
-    const NoisyMachine machine(device, 0, groupableFlags());
+    const NoisyMachine machine(device, 0, phaseFreeFlags());
     const PreparedCircuit prepared = machine.prepare(
         compileWorkload(makeQaoa(5, QaoaGraph::A), device));
     const int shots = 8 * kShotBlock;

@@ -234,8 +234,8 @@ TEST_F(ShardTest, ShardRangePartitionsMergeToRun)
     const NoisyMachine dense_machine(d);
     const NoisyMachine frame_machine(d, 0, NoiseFlags::pauliOnly());
     NoiseFlags no_ou = NoiseFlags::all();
-    no_ou.ouDephasing = false; // phase-free: the grouped dense replay
-    const NoisyMachine grouped_machine(d, 0, no_ou);
+    no_ou.ouDephasing = false; // phase-free: the checkpointed replay
+    const NoisyMachine checkpointed_machine(d, 0, no_ou);
     constexpr int kShots = 700;
 
     struct Case
@@ -250,15 +250,17 @@ TEST_F(ShardTest, ShardRangePartitionsMergeToRun)
          ExecMode::Compiled},
         {"frame", frame_machine, frameJob(frame_machine, d),
          ExecMode::Compiled},
-        {"grouped dense", grouped_machine, denseJob(grouped_machine, d),
+        {"checkpointed dense", checkpointed_machine,
+         denseJob(checkpointed_machine, d),
          ExecMode::Compiled},
         {"interpreted dense", dense_machine, denseJob(dense_machine, d),
          ExecMode::Interpreted},
         {"interpreted frame", frame_machine, frameJob(frame_machine, d),
          ExecMode::Interpreted},
     };
-    // The grouped case must really take the grouped path.
-    EXPECT_EQ(grouped_machine.runPartial(cases[2].job.prepared, kShots, 5)
+    // The checkpointed case must really take the checkpointed replay.
+    EXPECT_EQ(checkpointed_machine
+                  .runPartial(cases[2].job.prepared, kShots, 5)
                   .denseStats.shots,
               kShots);
 
