@@ -1523,8 +1523,8 @@ ShotReplayer::ShotReplayer(const ExecutionPlan &plan,
     // either stream is shot-invariant up to its first Meas / Reset op:
     // checkpoint the general stream on the way there, and keep the
     // fast stream's state at that point.  No measurement runs before
-    // it, so every conditional pulse of the build reads the clear
-    // register, as in any shot.
+    // it and packer_ is freshly constructed, so every conditional
+    // pulse of the build reads the clear register, as in any shot.
     refDivOp_ = firstMeasOrReset(prog.ops);
     refFastDivOp_ = firstMeasOrReset(prog.fastOps);
     const ShotTape empty;
@@ -1536,7 +1536,6 @@ ShotReplayer::ShotReplayer(const ExecutionPlan &plan,
     const uint32_t num_cp = refDivOp_ / refStride_ + 1;
     refAmps_.resize(size_t{num_cp} * dim);
     sv_.reset();
-    packer_.clear();
     for (uint32_t c = 0; c < num_cp; c++) {
         std::memcpy(refAmps_.data() + size_t{c} * dim, sv_.data(),
                     dim * sizeof(Complex));
