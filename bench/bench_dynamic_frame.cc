@@ -10,12 +10,14 @@
  * instance.  The headline metric is the speedup, recorded in
  * BENCH_pr7.json with the acceptance floor of 10x at the larger
  * instance; the stats rows prove the frame engine kept every lane
- * in-frame (branch tails, zero deferred shots).
+ * in-frame: fired lanes finish on branch tails, and deferred_shots
+ * (lanes that reached the exact tableau continuation past the
+ * kFrameBranchDepth cap) reads zero.
  *
  * Registered google-benchmark kernels re-measure the same points
  * with more rigor, plus the one-time FrameProgram compilation cost
- * (reference tableau + branch-tail eligibility analysis) that the
- * shots amortize.
+ * (reference tableau + branch-tail site snapshots) that the shots
+ * amortize.
  */
 
 #include "bench_common.hh"

@@ -2,17 +2,16 @@
  * @file
  * Hardened environment-knob parsing.
  *
- * The tree reads exactly three environment variables, all through
- * these helpers: ADAPT_NUM_THREADS (common/parallel.cc),
- * ADAPT_FRAME_BRANCH_DEPTH (noise/compiled.cc, folded into the
- * program-cache key) and ADAPT_SHARD_WORKER_BIN
- * (serve/shard_executor.cc).  Everything else is configured in code
- * through ServerOptions, ShardOptions, FaultConfig and
- * NoisyMachine::setProgramCache.  Garbage, negative, and overflowing
- * values are rejected with a one-line warning (logging.hh) and a
- * documented fallback instead of strtol's silent 0 / clamp.  The
- * string parsers are pure functions so tests can exercise every
- * rejection path without touching the process environment.
+ * The tree reads exactly two environment variables, both through
+ * these helpers: ADAPT_NUM_THREADS (common/parallel.cc) and
+ * ADAPT_SHARD_WORKER_BIN (serve/shard_executor.cc).  Everything else
+ * is configured in code through ServerOptions, ShardOptions,
+ * FaultConfig and NoisyMachine::setProgramCache.  Garbage, negative,
+ * and overflowing values are rejected with a one-line warning
+ * (logging.hh) and a documented fallback instead of strtol's silent
+ * 0 / clamp.  The string parsers are pure functions so tests can
+ * exercise every rejection path without touching the process
+ * environment.
  */
 
 #ifndef ADAPT_COMMON_ENV_HH
@@ -31,8 +30,8 @@ namespace adapt
 {
 
 /** Raw value pointer (nullptr when unset), for sites that need the
- *  live uninterpreted text — e.g. cache-fingerprint folds — rather
- *  than a parsed knob. */
+ *  uninterpreted text — e.g. a file path — rather than a parsed
+ *  knob. */
 inline const char *
 envText(const char *name)
 {

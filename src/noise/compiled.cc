@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "circuit/clifford1q.hh"
-#include "common/env.hh"
 #include "common/logging.hh"
 #include "sim/backend.hh"
 #include "sim/stabilizer.hh"
@@ -780,8 +779,6 @@ buildFrameSkeleton(const ExecutionPlan &plan, const NoiseFlags &flags)
             "Paulis");
 
     FrameSkeleton skel;
-    skel.branchDepth = static_cast<int>(
-        envInt("ADAPT_FRAME_BRANCH_DEPTH", 8, 0, 64));
 
     // The noiseless reference simulation: advanced through the plan
     // in step order.  Everything it answers — measurement outcomes,
@@ -816,22 +813,20 @@ buildFrameSkeleton(const ExecutionPlan &plan, const NoiseFlags &flags)
             const double p1 = ref.populationOne(dq);
             if (p1 == 0.5) {
                 trace.t1Ref = 2;
-                if (skel.branchDepth > 0) {
-                    const bool sup =
-                        ref.measureFlipSupport(dq, flip_x, flip_z);
-                    require(sup, "superposed T1 checkpoint with a "
-                                 "deterministic Z measurement");
-                    trace.flipX = flip_x;
-                    trace.flipZ = flip_z;
-                    // The branch-hop reference: postselect the
-                    // excited branch, then the decay jump lands it
-                    // in |0>.  The op index is stamped at bind time.
-                    FrameT1Site site{ref, refCl, 0};
-                    site.refAfterJump.postselect(dq, true);
-                    site.refAfterJump.applyX(dq);
-                    trace.site = static_cast<int>(skel.sites.size());
-                    skel.sites.push_back(std::move(site));
-                }
+                const bool sup =
+                    ref.measureFlipSupport(dq, flip_x, flip_z);
+                require(sup, "superposed T1 checkpoint with a "
+                             "deterministic Z measurement");
+                trace.flipX = flip_x;
+                trace.flipZ = flip_z;
+                // The branch-hop reference: postselect the excited
+                // branch, then the decay jump lands it in |0>.  The
+                // op index is stamped at bind time.
+                FrameT1Site site{ref, refCl, 0};
+                site.refAfterJump.postselect(dq, true);
+                site.refAfterJump.applyX(dq);
+                trace.site = static_cast<int>(skel.sites.size());
+                skel.sites.push_back(std::move(site));
             } else {
                 trace.t1Ref = p1 == 1.0 ? 1 : 0;
             }
@@ -898,8 +893,8 @@ buildFrameSkeleton(const ExecutionPlan &plan, const NoiseFlags &flags)
                 suffix[0], frameMatOfGate(step.pulses[0].gate));
 
             // The train's Clifford product up to global phase, as a
-            // named-gate realization: the deferred-lane tableau
-            // replay needs it even when the frame action is the
+            // named-gate realization: the depth-cap tableau
+            // continuation needs it even when the frame action is the
             // identity (a Pauli train — DD padding — still flips
             // tableau signs).
             Matrix2 product = Matrix2::identity();
@@ -999,7 +994,7 @@ bindFrameProgram(const ExecutionPlan &plan, const FrameSkeleton &skel,
     FrameProgram prog;
     prog.numQubits = static_cast<int>(plan.active.size());
     prog.numClbits = plan.maxClbit + 1;
-    prog.branchDepth = skel.branchDepth;
+    prog.branchDepth = kFrameBranchDepth;
 
     // Cursors into the recorded reference-walk traces, consumed in
     // lock-step with the structure-only guards the skeleton used.
@@ -1064,23 +1059,17 @@ bindFrameProgram(const ExecutionPlan &plan, const FrameSkeleton &skel,
             if (trace.t1Ref == 2) {
                 // Superposed reference: the jump fires with the
                 // folded rate gamma * 1/2 and hands the lane to a
-                // compiled branch tail — or, with tails disabled,
-                // defers it to an exact per-shot rerun forced at
-                // this ordinal.
+                // compiled branch tail.
                 m.randT1Ordinal = prog.randomT1Count++;
                 m.t1 = makeFrameBernoulli(gamma * 0.5);
-                if (prog.branchDepth > 0) {
-                    recordFlipSupport(prog, m, trace.flipX,
-                                      trace.flipZ);
-                    // One site per random ordinal, even if the op
-                    // below is elided (keeps the ordinal -> site
-                    // indexing dense).
-                    FrameT1Site site =
-                        skel.sites[static_cast<size_t>(trace.site)];
-                    site.opIndex =
-                        static_cast<uint32_t>(prog.ops.size());
-                    prog.t1Sites.push_back(std::move(site));
-                }
+                recordFlipSupport(prog, m, trace.flipX, trace.flipZ);
+                // One site per random ordinal, even if the op below
+                // is elided (keeps the ordinal -> site indexing
+                // dense).
+                FrameT1Site site =
+                    skel.sites[static_cast<size_t>(trace.site)];
+                site.opIndex = static_cast<uint32_t>(prog.ops.size());
+                prog.t1Sites.push_back(std::move(site));
             } else {
                 m.t1 = makeFrameBernoulli(gamma);
             }
@@ -1240,8 +1229,6 @@ bindFrameProgram(const ExecutionPlan &plan, const FrameSkeleton &skel,
                 meas_cursor == skel.meas.size() &&
                 reset_cursor == skel.resets.size(),
             "frame skeleton traces not fully consumed by the bind");
-    prog.branchTails =
-        prog.branchDepth > 0 && prog.randomT1Count > 0;
     return prog;
 }
 
@@ -1419,8 +1406,6 @@ compileFrameTail(const FrameProgram &parent, uint32_t ordinal)
           }
         }
     }
-    prog.branchTails =
-        prog.branchDepth > 0 && prog.randomT1Count > 0;
     return prog;
 }
 

@@ -427,10 +427,6 @@ struct ShotTables
  */
 struct FrameSkeleton
 {
-    /** ADAPT_FRAME_BRANCH_DEPTH at structure time (part of the
-     *  program-cache key). */
-    int branchDepth = 0;
-
     /** One per Fused1Q step: the train's frame transform, its
      *  named-gate realization, and each pulse's Pauli images through
      *  the train suffix. */
@@ -534,8 +530,7 @@ ShotProgram bindShotProgram(const ExecutionPlan &plan,
  * (sim/frame_batch.hh): run the noiseless reference tableau once over
  * @p plan, recording every measurement's reference outcome and
  * branch-flip Pauli, each T1 checkpoint's reference class, and every
- * pulse train's GL(2, F2) frame transform.  Reads
- * ADAPT_FRAME_BRANCH_DEPTH.
+ * pulse train's GL(2, F2) frame transform.
  *
  * @pre plan.clifford, flags Pauli-expressible without per-shot OU
  *      (flags.ouDephasing off), no non-Pauli conditionals; the
@@ -567,9 +562,9 @@ FrameProgram bindFrameProgram(const ExecutionPlan &plan,
  * resets, T1 classifications, and conditional-gate reference bits are
  * re-derived by advancing a copy of the snapshot.  The tail's
  * branchDepth is one less than the parent's, so tail trees bottom out
- * at the ADAPT_FRAME_BRANCH_DEPTH cap.
+ * at the kFrameBranchDepth cap.
  *
- * @pre parent.branchTails and ordinal < parent.t1Sites.size()
+ * @pre parent.branchDepth > 0 and ordinal < parent.t1Sites.size()
  */
 FrameProgram compileFrameTail(const FrameProgram &parent,
                               uint32_t ordinal);

@@ -37,7 +37,8 @@ struct PreparedJob
     std::optional<FrameProgram> frame;  //!< stabilizer jobs only
 
     /** Lazy branch-tail store, shared by every run of this job;
-     *  non-null iff frame && frame->branchTails. */
+     *  non-null iff the frame program has a superposed T1
+     *  checkpoint. */
     std::shared_ptr<FrameTailCache> tails;
 };
 
@@ -464,29 +465,18 @@ class ChunkExecutor
             const auto lanes = static_cast<int>(std::min<int64_t>(
                 kFrameLanes,
                 static_cast<int64_t>(shots_) - block * kFrameLanes));
-            frame_->runBlock(base_, block, lanes, hist, deferred_,
-                             tails_);
+            frame_->runBlock(base_, block, lanes, hist, tails_);
         }
-        if (deferred_.empty() && tails_.empty())
+        if (tails_.empty())
             return;
         // Lanes whose T1 jump fired on a reference-superposed qubit
-        // finish off the plane pass: via compiled branch tails when
-        // enabled, else via exact per-shot tableau reruns of the same
-        // op stream.
+        // finish off the plane pass on compiled branch tails.
         if (!scratch_) {
             scratch_ = std::make_unique<StabilizerState>(prog.numQubits);
             packer_ = std::make_unique<OutcomePacker>(prog.numClbits);
         }
-        if (!deferred_.empty()) {
-            frameStats_.deferredShots +=
-                static_cast<int64_t>(deferred_.size());
-            drainDeferredShots(prog, base_, deferred_, *scratch_,
-                               *packer_, hist);
-        }
-        if (!tails_.empty()) {
-            drainTailShots(prog, base_, tails_, *job_.tails, *scratch_,
-                           *packer_, hist, frameStats_);
-        }
+        drainTailShots(prog, base_, tails_, *job_.tails, *scratch_,
+                       *packer_, hist, frameStats_);
     }
 
     const PreparedJob &job_;
@@ -501,7 +491,6 @@ class ChunkExecutor
     std::unique_ptr<SimBackend> state_;
     std::unique_ptr<StabilizerState> scratch_;
     std::unique_ptr<OutcomePacker> packer_;
-    std::vector<DeferredShot> deferred_;
     std::vector<FrameTailShot> tails_;
     FrameBatchStats frameStats_;
 };
@@ -569,7 +558,7 @@ NoisyMachine::prepareImpl(const ScheduledCircuit &sched,
     } else if (skel->frame) {
         job->frame =
             bindFrameProgram(job->plan, *skel->frame, cal_, flags_);
-        if (job->frame->branchTails)
+        if (job->frame->randomT1Count > 0)
             job->tails = std::make_shared<FrameTailCache>();
     }
     PreparedCircuit prepared;

@@ -1,9 +1,7 @@
 #include "noise/program_cache.hh"
 
-#include <cstdlib>
 #include <cstring>
 
-#include "common/env.hh"
 #include "noise/compiled.hh"
 
 namespace adapt
@@ -48,18 +46,6 @@ struct Folder
         std::memcpy(&bits, &d, sizeof(bits));
         word(bits);
     }
-
-    void text(const char *s)
-    {
-        if (s == nullptr) {
-            word(0xdeadull);
-            return;
-        }
-        word(1);
-        for (; *s != '\0'; s++)
-            word(static_cast<uint64_t>(
-                static_cast<unsigned char>(*s)));
-    }
 };
 
 } // namespace
@@ -101,10 +87,6 @@ skeletonFingerprint(const ScheduledCircuit &sched,
            (flags.crosstalk ? 32u : 0u) |
            (flags.twirlCoherent ? 64u : 0u));
     f.word(static_cast<uint64_t>(requested));
-
-    // The frame-engine knob the structure phase reads: folded as its
-    // live raw string so env toggles between prepares re-key the cache.
-    f.text(envText("ADAPT_FRAME_BRANCH_DEPTH"));
 
     return {f.a.state, f.b.state};
 }

@@ -55,10 +55,8 @@ struct ProgramFingerprint
 /**
  * Fingerprint of everything the structure phase reads: the scheduled
  * op stream (types, operands, parameter/time bit patterns, link
- * indices), the noise-flag set, the requested backend, and the
- * frame engine's ADAPT_FRAME_BRANCH_DEPTH knob (folded as its raw
- * string, read live per call, so tests that toggle it between
- * prepares never see a stale skeleton).
+ * indices), the noise-flag set and the requested backend.  The
+ * process environment plays no part.
  */
 ProgramFingerprint skeletonFingerprint(const ScheduledCircuit &sched,
                                        const NoiseFlags &flags,

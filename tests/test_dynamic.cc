@@ -20,9 +20,9 @@
  *  - bit-identity of the frame engine against itself across thread
  *    counts and batch-vs-serial, tails included;
  *  - FrameBatchStats invariants: zero deferred lanes on DD-padded
- *    decoys with tails enabled, bounded tail recursion under
- *    ADAPT_FRAME_BRANCH_DEPTH, and the tails-disabled deferral path
- *    still sampling the same law;
+ *    decoys, and tail recursion bounded at kFrameBranchDepth + 1
+ *    hops, with the depth-cap tableau continuation sampling the
+ *    same law;
  *  - dispatch: conditional non-Pauli gates keep the job off the
  *    frame engine but on the stabilizer backend (interpreted walk).
  *
@@ -32,7 +32,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <vector>
 
 #include "common/logging.hh"
@@ -412,16 +411,22 @@ TEST(DynamicDeterminism, BatchVsSerialBitIdentical)
 namespace
 {
 
-/** A chain of re-superposed long idles: every T1 checkpoint sees a
- *  reference at population 1/2, so jump lanes fire often and nest. */
+/** A chain of @p rounds re-superposed idles of @p idle_ns each:
+ *  every T1 checkpoint sees a reference at population 1/2, so jump
+ *  lanes fire often and nest.  The closing X flips make the decayed
+ *  state read mostly 11, so a fired lane that kept its fire-time
+ *  (all-zero) record would move the TVD. */
 ScheduledCircuit
-heavyFireExecutable(const Device &device)
+heavyFireExecutable(const Device &device, int rounds = 6,
+                    double idle_ns = 40000.0)
 {
     Circuit c(2);
-    for (int k = 0; k < 6; k++) {
+    for (int k = 0; k < rounds; k++) {
         c.h(0);
-        c.delay(40000.0, 0);
+        c.delay(idle_ns, 0);
     }
+    c.x(0);
+    c.x(1);
     c.measureAll();
     return scheduleLinear(device, c, false);
 }
@@ -472,7 +477,7 @@ TEST(DynamicTailStats, DecoyCorpusNeverDefersWithTailsEnabled)
         machine.runPartial(prepared, kShots, 9, 0, RunControl{});
     EXPECT_GT(out.frameStats.tailShots, 0);
     EXPECT_EQ(out.frameStats.deferredShots, 0);
-    EXPECT_LE(out.frameStats.maxTailDepth, 9); // default cap 8, +1
+    EXPECT_LE(out.frameStats.maxTailDepth, kFrameBranchDepth + 1);
     fired_total += out.frameStats.tailShots;
     EXPECT_GT(fired_total, 0) << "stats plumbing reported no fires";
 }
@@ -483,60 +488,27 @@ TEST(DynamicTailStats, DepthCapBoundsRecursionAndStaysCorrect)
     NoiseFlags flags = NoiseFlags::none();
     flags.t1Damping = true;
     const NoisyMachine machine(device, 0, flags);
-    const ScheduledCircuit sched = heavyFireExecutable(device);
+    // Sixteen 200 us idles fire often enough that some lanes chain
+    // more than kFrameBranchDepth nested jumps.
+    const PreparedCircuit prepared = machine.prepare(
+        heavyFireExecutable(device, 16, 200000.0),
+        BackendKind::Stabilizer);
+    ASSERT_TRUE(prepared.frameBatched());
 
-    // Oracle and reference law from the default configuration.
-    const PreparedCircuit deep =
-        machine.prepare(sched, BackendKind::Stabilizer);
     const Distribution oracle =
-        machine.run(deep, kShots, 11, 0, ExecMode::Interpreted);
-
-    setenv("ADAPT_FRAME_BRANCH_DEPTH", "1", 1);
-    const PreparedCircuit capped =
-        machine.prepare(sched, BackendKind::Stabilizer);
-    unsetenv("ADAPT_FRAME_BRANCH_DEPTH");
+        machine.run(prepared, kShots, 11, 0, ExecMode::Interpreted);
     const RunOutcome out =
-        machine.runPartial(capped, kShots, 11, 0, RunControl{});
-    // Nested fires exist at this rate, so the cap must actually
-    // engage — and bound the chain at cap + 1 hops.
-    EXPECT_GT(out.frameStats.depthCapHits, 0);
-    EXPECT_LE(out.frameStats.maxTailDepth, 2);
-    EXPECT_EQ(out.frameStats.deferredShots,
-              out.frameStats.depthCapHits);
+        machine.runPartial(prepared, kShots, 11, 0, RunControl{});
+    // The cap must actually engage — and bound the chain at cap + 1
+    // hops, the last one finished on the exact tableau.
+    EXPECT_GT(out.frameStats.deferredShots, 0);
+    EXPECT_EQ(out.frameStats.maxTailDepth, kFrameBranchDepth + 1);
     EXPECT_LT(tvDistance(out.dist, oracle), 0.015);
 
-    // Capped runs keep the determinism contract too.
+    // Capped lanes keep the determinism contract too.
     EXPECT_TRUE(distributionsIdentical(
-        machine.run(capped, 5 * kFrameLanes + 17, 11, 1),
-        machine.run(capped, 5 * kFrameLanes + 17, 11, 7)));
-}
-
-TEST(DynamicTailStats, DisablingTailsFallsBackToDeferralPath)
-{
-    const Device device = Device::synthetic(Topology::linear(2), 76);
-    NoiseFlags flags = NoiseFlags::none();
-    flags.t1Damping = true;
-    const NoisyMachine machine(device, 0, flags);
-    const ScheduledCircuit sched = heavyFireExecutable(device);
-
-    setenv("ADAPT_FRAME_BRANCH_DEPTH", "0", 1);
-    const PreparedCircuit deferred =
-        machine.prepare(sched, BackendKind::Stabilizer);
-    unsetenv("ADAPT_FRAME_BRANCH_DEPTH");
-    ASSERT_TRUE(deferred.frameBatched());
-    const RunOutcome out =
-        machine.runPartial(deferred, kShots, 13, 0, RunControl{});
-    EXPECT_GT(out.frameStats.deferredShots, 0);
-    EXPECT_EQ(out.frameStats.tailShots, 0);
-
-    // Same law as the tails path: the two are different exact
-    // samplers of one distribution.
-    const PreparedCircuit tails =
-        machine.prepare(sched, BackendKind::Stabilizer);
-    const RunOutcome tout =
-        machine.runPartial(tails, kShots, 13, 0, RunControl{});
-    EXPECT_EQ(tout.frameStats.deferredShots, 0);
-    EXPECT_LT(tvDistance(out.dist, tout.dist), 0.015);
+        machine.run(prepared, 5 * kFrameLanes + 17, 11, 1),
+        machine.run(prepared, 5 * kFrameLanes + 17, 11, 7)));
 }
 
 // -------------------------------------------------------- dispatch
